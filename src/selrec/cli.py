@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -57,18 +56,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(VALIDATION_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SELREC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SELREC_THREADS is not an integer: {env!r}") from exc
-    return 1
 
 
 def _stamp(exp: ExperimentConfig) -> dict:
@@ -157,7 +144,6 @@ def cmd_dual(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else exp.seed
     replicates = args.replicates or exp.replicates
-    threads = _thread_count(args)
     flavors = (
         ("counts", "partition", "runtimes")
         if exp.dual_flavor == "all"
@@ -169,7 +155,7 @@ def cmd_dual(args) -> int:
     worst = 0.0
     for flavor in flavors:
         est = mc_solution_estimate(
-            exp.cfg, exp.omega0, t, replicates, seed, flavor=flavor, threads=threads
+            exp.cfg, exp.omega0, t, replicates, seed, flavor=flavor
         )
         z = est.z_scores(reference)
         worst = max(worst, float(np.max(np.abs(z))))
@@ -388,14 +374,14 @@ def _check_selection_duality(exp: ExperimentConfig) -> dict:
     }
 
 
-def _check_duality_mc(exp: ExperimentConfig, seed: int, threads: int) -> list[dict]:
+def _check_duality_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
     out = []
     t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
-    reps = min(exp.replicates, 50_000)
+    reps = min(replicates, 50_000)
     for flavor in ("counts", "partition", "runtimes"):
         start = _canonical_start(exp.cfg, flavor)
         rep = duality_check(
-            exp.cfg, exp.omega0, start, t, reps, seed + 7, threads=threads
+            exp.cfg, exp.omega0, start, t, reps, seed + 7
         )
         out.append({
             "name": f"duality_mc_{flavor}",
@@ -407,15 +393,15 @@ def _check_duality_mc(exp: ExperimentConfig, seed: int, threads: int) -> list[di
     return out
 
 
-def _check_solution_mc(exp: ExperimentConfig, seed: int, threads: int) -> list[dict]:
+def _check_solution_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
     out = []
     t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
-    reps = min(exp.replicates, 50_000)
+    reps = min(replicates, 50_000)
     settings = SolverSettings(t_max=t, grid_steps=64, quad_tol=1e-9)
     reference = integrate_ode(exp.cfg, exp.omega0, settings).final_probability()
     for flavor in ("counts", "partition", "runtimes"):
         est = mc_solution_estimate(
-            exp.cfg, exp.omega0, t, reps, seed + 13, flavor=flavor, threads=threads
+            exp.cfg, exp.omega0, t, reps, seed + 13, flavor=flavor
         )
         z = float(np.max(np.abs(est.z_scores(reference))))
         out.append({
@@ -467,14 +453,14 @@ def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
 def cmd_verify(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else exp.seed
-    threads = _thread_count(args)
+    replicates = args.replicates or exp.replicates
     checks = [
         _check_solver_agreement(exp),
         _check_product_algebra(exp, seed),
         _check_ld_identity(exp),
         _check_selection_duality(exp),
-        *_check_duality_mc(exp, seed, threads),
-        *_check_solution_mc(exp, seed, threads),
+        *_check_duality_mc(exp, seed, replicates),
+        *_check_solution_mc(exp, seed, replicates),
         _check_marginals(exp),
         _check_encoding(exp, seed),
     ]
@@ -501,7 +487,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="seed override")
     sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: SELREC_THREADS or 1)")
+                     help="accepted and ignored, as is SELREC_THREADS: Monte Carlo "
+                          "streams are keyed by (seed, block) with a fixed block size, "
+                          "so no result or timing depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

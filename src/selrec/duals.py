@@ -15,7 +15,6 @@ solution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,7 +30,7 @@ from .measure import (
     fit_fraction,
     tensor,
 )
-from .partitions import WeightedPartition, decode, encode
+from .partitions import WeightedPartition, anchor_site, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
@@ -86,6 +85,68 @@ def ypir_vector_simulate(cfg: SiteConfig, m0, t: float, rng) -> np.ndarray:
         [ypir_simulate(cfg, i, int(m0[i - 1]), t, rng) for i in cfg.sites],
         dtype=np.int64,
     )
+
+
+# Line counts are drawn as int64.  A count started from m0 has mean about
+# m0*exp(s*t); keeping that below exp(MAX_LOG_COUNT) ~ 1e13 keeps every draw
+# far from 2^63 (~exp(43.7)), where geometric and negative-binomial draws wrap.
+MAX_LOG_COUNT = 30.0
+
+
+def _check_count_growth(cfg: SiteConfig, m0: np.ndarray, t: float) -> None:
+    log_count = cfg.s * t + math.log(max(1, int(m0.max(initial=0))))
+    if log_count > MAX_LOG_COUNT:
+        raise ValueError(
+            f"s*t = {cfg.s * t:.4g} with start counts up to {int(m0.max())}: the "
+            f"mean line count m0*exp(s*t) must stay below exp({MAX_LOG_COUNT:g})"
+        )
+
+
+def _renewal_age(rng, size: int, rho: float, r: float, t: float, running: bool) -> np.ndarray:
+    """Per replicate, the time back from t to one site's last renewal.
+
+    Seen backward from t the resets form a Poisson process, so the last one
+    lies at distance E ~ Exp(r).  A site running from time 0 has age E, or
+    inf when E > t (no reset at all); an idle site starts at T ~ Exp(rho)
+    and has age min(E, t - T), or nan when it has not started by t.
+    """
+    back = rng.exponential(1.0 / r, size) if r > 0.0 else np.full(size, np.inf)
+    if running:
+        return np.where(back <= t, back, np.inf)
+    if rho == 0.0:
+        return np.full(size, np.nan)
+    start = rng.exponential(1.0 / rho, size)
+    return np.where(start <= t, np.minimum(back, t - start), np.nan)
+
+
+def ypir_block_simulate(cfg: SiteConfig, m0, t: float, rng, size: int) -> np.ndarray:
+    """Exact line counts at time t for `size` independent replicates, all
+    started from m0; one row per replicate, one column per site.
+
+    Drawn site by site: after a renewal of age u the count is geometric
+    with parameter exp(-s*u); a count that ran from m0 without a reset is
+    m0 plus a negative binomial with parameter exp(-s*t).
+    """
+    m0 = np.asarray(m0, dtype=np.int64)
+    if m0.shape != (cfg.n,):
+        raise ValueError(f"need one count per site, length {cfg.n}")
+    if np.any(m0 < 0):
+        raise ValueError("counts must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    _check_count_growth(cfg, m0, t)
+    out = np.zeros((size, cfg.n), dtype=np.int64)
+    resetting = cfg.resetting_rates()
+    for i in cfg.sites:
+        k0 = int(m0[i - 1])
+        age = _renewal_age(rng, size, cfg.rho[i - 1], resetting[i - 1], t, k0 > 0)
+        col = out[:, i - 1]
+        renewed = np.isfinite(age)
+        col[renewed] = rng.geometric(np.exp(-cfg.s * age[renewed]))
+        if k0 > 0:
+            held = np.isinf(age)
+            col[held] = k0 + rng.negative_binomial(k0, math.exp(-cfg.s * t), int(held.sum()))
+    return out
 
 
 def _geom_pmf(sigma: float, n: int) -> float:
@@ -381,6 +442,24 @@ def initiation_simulate(
     return InitiationState(tuple(out))
 
 
+def initiation_block_simulate(
+    cfg: SiteConfig, state: InitiationState, t: float, rng, size: int
+) -> np.ndarray:
+    """Exact run times at time t for `size` independent replicates, all
+    started from state; one row per replicate, one column per site, nan
+    where the site has not started (DELTA)."""
+    state.require_selected_real(cfg)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    out = np.empty((size, cfg.n))
+    resetting = cfg.resetting_rates()
+    for i in cfg.sites:
+        e = state.entries[i - 1]
+        age = _renewal_age(rng, size, cfg.rho[i - 1], resetting[i - 1], t, e is not DELTA)
+        out[:, i - 1] = age if e is DELTA else np.where(np.isinf(age), e + t, age)
+    return out
+
+
 # -- duality functions ----------------------------------------------------------
 
 def ancestor_mixture(cfg: SiteConfig, k: int, nu: Measure) -> Measure:
@@ -498,124 +577,122 @@ def duality_runtimes(
 
 # -- Monte Carlo representation --------------------------------------------------
 
-class _MixtureEvaluator:
-    """Fast repeated evaluation of the count/run-time duality functions.
+# Replicates are drawn in blocks of this many, block b from stream (seed, b),
+# so the draws depend on neither scheduling nor thread count; the block also
+# bounds the per-group temporaries of the evaluator.
+BLOCK = 4096
 
-    Every factor is an affine mixture of the fit and unfit conditionals of
-    nu restricted to a tail, so for a fixed set of started sites the value
-    is multilinear in the per-site unfit weights; the basis products are
-    cached per started-set.
+
+class _MixtureEvaluator:
+    """Evaluation of a duality function at nu for whole blocks of dual states.
+
+    Every factor of a duality value is an affine mixture of the fit and
+    unfit conditionals of nu, restricted to the tail of a started site
+    (counts and run times) or to the partition block that the started site
+    anchors (partitions).  For a fixed set of started sites the value is
+    therefore multilinear in the per-site unfit weights; the basis products
+    are cached per started set.
     """
 
-    def __init__(self, cfg: SiteConfig, nu: Measure):
-        self.cfg = cfg
-        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
-        b = cond_fit(nu, cfg.i_star)
-        d = cond_unfit(nu, cfg.i_star)
-        self.perm = cfg.canonical_permutation()
-        self._b_tail = {i: b.project(cfg.tail(i)) for i in cfg.sites}
-        self._d_tail = {i: d.project(cfg.tail(i)) for i in cfg.sites}
-        self._basis: dict[tuple[int, ...], np.ndarray] = {}
-
-    def basis(self, active: tuple[int, ...]) -> np.ndarray:
-        cached = self._basis.get(active)
-        if cached is not None:
-            return cached
-        a = len(active)
-        rows = np.empty((1 << a, 1 << self.cfg.n))
-        for c in range(1 << a):
-            acc = None
-            for j, i in enumerate(active):
-                part = self._d_tail[i] if (c >> j) & 1 else self._b_tail[i]
-                acc = part if acc is None else boxtimes(acc, part)
-            rows[c] = acc.values
-        self._basis[active] = rows
-        return rows
-
-    def value(self, active: tuple[int, ...], dweights: Sequence[float]) -> np.ndarray:
-        coeff = np.empty(1 << len(active))
-        coeff[0] = 1.0
-        size = 1
-        for g in dweights:
-            coeff[size : 2 * size] = coeff[:size] * g
-            coeff[:size] *= 1.0 - g
-            size *= 2
-        return coeff @ self.basis(active)
-
-    def value_for_counts(self, m: np.ndarray) -> np.ndarray:
-        active = tuple(i for i in self.perm if m[i - 1] > 0)
-        weights = [self.y ** int(m[i - 1]) for i in active]
-        return self.value(active, weights)
-
-    def value_for_runtimes(self, state: InitiationState, f0: float) -> np.ndarray:
-        active = tuple(i for i in self.perm if state.entries[i - 1] is not DELTA)
-        weights = [
-            1.0 - logistic_fit_fraction(self.cfg.s, f0, float(state.entries[i - 1]))
-            for i in active
-        ]
-        return self.value(active, weights)
-
-
-class _PartitionEvaluator:
-    """Repeated evaluation of the weighted-partition duality function with
-    cached per-interval conditionals."""
-
-    def __init__(self, cfg: SiteConfig, nu: Measure):
+    def __init__(self, cfg: SiteConfig, nu: Measure, blocks: bool = False):
         self.cfg = cfg
         self.y = 1.0 - fit_fraction(nu, cfg.i_star)
         self._b = cond_fit(nu, cfg.i_star)
         self._d = cond_unfit(nu, cfg.i_star)
-        self._proj: dict[tuple[int, ...], tuple[Measure, Measure]] = {}
+        self._blocks = blocks
+        self.perm = cfg.canonical_permutation()
+        # bit j of a started-set key marks the j-th site of perm
+        self._bits = np.zeros(cfg.n, dtype=np.int64)
+        for j, i in enumerate(self.perm):
+            self._bits[i - 1] = 1 << j
+        self._basis: dict[tuple[int, ...], np.ndarray] = {}
 
-    def value(self, wp: WeightedPartition) -> np.ndarray:
-        out = Measure((), [1.0])
-        for block, v in zip(wp.partition.blocks, wp.weights):
-            pair = self._proj.get(block)
-            if pair is None:
-                pair = (self._b.project(block), self._d.project(block))
-                self._proj[block] = pair
-            bP, dP = pair
-            w = self.y ** int(v)
-            out = tensor(out, Measure(block, w * dP.values + (1.0 - w) * bP.values))
-        return out.values
+    def _supports(self, active: tuple[int, ...]) -> list:
+        """Site set of each started site's factor."""
+        if not self._blocks:
+            return [self.cfg.tail(i) for i in active]
+        anchors = np.zeros(self.cfg.n, dtype=np.int64)
+        anchors[[i - 1 for i in active]] = 1
+        blocks = decode(anchors, self.cfg).partition.blocks
+        block_of = {anchor_site(b, self.cfg.i_star): b for b in blocks}
+        return [block_of[i] for i in active]
+
+    def basis(self, active: tuple[int, ...]) -> np.ndarray:
+        """Row c: the product over started sites of the unfit factor where
+        bit j of c is set and the fit factor elsewhere."""
+        cached = self._basis.get(active)
+        if cached is not None:
+            return cached
+        pairs = [(self._b.project(S), self._d.project(S)) for S in self._supports(active)]
+        out = np.empty((1 << len(active), 1 << self.cfg.n))
+
+        # depth first, so that rows sharing a prefix share its products
+        def expand(acc: Measure, j: int, c: int) -> None:
+            if j == len(pairs):
+                out[c] = acc.values
+                return
+            for bit, part in enumerate(pairs[j]):
+                expand(boxtimes(acc, part), j + 1, c | bit << j)
+
+        expand(Measure((), [1.0]), 0, 0)
+        self._basis[active] = out
+        return out
+
+    def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
+        """Duality values of states sharing one started set; dweights holds
+        one row of unfit weights per state, one column per started site."""
+        coeff = np.ones((dweights.shape[0], 1 << len(active)))
+        size = 1
+        for g in dweights.T:
+            g = g[:, None]
+            coeff[:, size : 2 * size] = coeff[:, :size] * g
+            coeff[:, :size] *= 1.0 - g
+            size *= 2
+        return coeff @ self.basis(active)
+
+    def fill(self, rows: np.ndarray, started: np.ndarray, dweights: np.ndarray) -> None:
+        """Write each state's duality value into its row; started and
+        dweights have one row per state and one column per site."""
+        keys = started @ self._bits
+        order = np.argsort(keys, kind="stable")
+        uniq, first = np.unique(keys[order], return_index=True)
+        for key, idx in zip(uniq.tolist(), np.split(order, first[1:])):
+            active = tuple(i for j, i in enumerate(self.perm) if key >> j & 1)
+            cols = [i - 1 for i in active]
+            rows[idx] = self.value(active, dweights[np.ix_(idx, cols)])
 
 
 _FLAVORS = ("counts", "partition", "runtimes")
 
 
-def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor, threads):
-    """Per-replicate duality values, rows indexed by replicate so the
-    reduction does not depend on scheduling."""
-    f0 = fit_fraction(omega0, cfg.i_star)
-    rows = np.empty((replicates, 1 << cfg.n))
-    mixer = _MixtureEvaluator(cfg, omega0)
-    parter = _PartitionEvaluator(cfg, omega0) if flavor == "partition" else None
+def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor):
+    """Per-replicate duality values, one row per replicate.
 
-    def run_range(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            rng = spawn_stream(seed, rep)
-            if flavor == "counts":
-                m = ypir_vector_simulate(cfg, start, t, rng)
-                rows[rep] = mixer.value_for_counts(m)
-            elif flavor == "partition":
-                wp = wpp_simulate(cfg, start, t, rng)
-                rows[rep] = parter.value(wp)
-            else:
-                th = initiation_simulate(cfg, start, t, rng)
-                rows[rep] = mixer.value_for_runtimes(th, f0)
-
-    if threads <= 1:
-        run_range(0, replicates)
+    The dual state at time t is drawn exactly, a block of replicates at a
+    time; the partition picture reuses the count draws of its encoding.
+    """
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    if flavor == "runtimes":
+        start.require_selected_real(cfg)
     else:
-        bounds = np.linspace(0, replicates, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_range, int(lo), int(hi))
-                for lo, hi in zip(bounds, bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                fut.result()
+        counts = encode(start, cfg) if flavor == "partition" else np.asarray(start)
+        _check_count_growth(cfg, counts, t)
+    f0 = fit_fraction(omega0, cfg.i_star)
+    mixer = _MixtureEvaluator(cfg, omega0, blocks=flavor == "partition")
+    rows = np.empty((replicates, 1 << cfg.n))
+    for b, lo in enumerate(range(0, replicates, BLOCK)):
+        rng = spawn_stream(seed, b)
+        size = min(BLOCK, replicates - lo)
+        if flavor == "runtimes":
+            theta = initiation_block_simulate(cfg, start, t, rng, size)
+            started = ~np.isnan(theta)
+            dweights = 1.0 - logistic_fit_fraction(cfg.s, f0, theta)
+        else:
+            m = ypir_block_simulate(cfg, counts, t, rng, size)
+            started = m > 0
+            dweights = mixer.y ** m
+        mixer.fill(rows[lo : lo + size], started, dweights)
     return rows
 
 
@@ -646,6 +723,22 @@ class MCEstimate:
         return diff / np.maximum(self.stderr, 1e-13)
 
 
+def _estimate(cfg: SiteConfig, rows: np.ndarray, flavor: str, seed: int) -> MCEstimate:
+    """Mean and standard error over the replicate rows, which are consumed:
+    the squared deviations overwrite them."""
+    replicates = rows.shape[0]
+    mean = rows.sum(axis=0) / replicates
+    rows -= mean
+    var = np.square(rows, out=rows).sum(axis=0) / max(1, replicates - 1)
+    return MCEstimate(
+        mean=Measure(cfg.sites, mean),
+        stderr=np.sqrt(var / replicates),
+        flavor=flavor,
+        replicates=replicates,
+        seed=seed,
+    )
+
+
 def mc_solution_estimate(
     cfg: SiteConfig,
     omega0: Measure,
@@ -656,28 +749,18 @@ def mc_solution_estimate(
     threads: int = 1,
 ) -> MCEstimate:
     """Estimate the solution at time t by averaging a duality function over
-    independent dual runs from the single-individual start."""
+    independent dual runs from the single-individual start.
+
+    threads is accepted for compatibility and ignored; the result depends
+    only on the other arguments.
+    """
     if flavor not in _FLAVORS:
         raise ValueError(f"flavor must be one of {_FLAVORS}")
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     start = _canonical_start(cfg, flavor)
-    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor, threads)
-    mean = rows.sum(axis=0) / replicates
-    if replicates > 1:
-        var = np.square(rows - mean).sum(axis=0) / (replicates - 1)
-        stderr = np.sqrt(var / replicates)
-    else:
-        stderr = np.zeros(rows.shape[1])
-    return MCEstimate(
-        mean=Measure(cfg.sites, mean),
-        stderr=stderr,
-        flavor=flavor,
-        replicates=replicates,
-        seed=seed,
-    )
+    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
+    return _estimate(cfg, rows, flavor, seed)
 
 
 @dataclass
@@ -720,7 +803,8 @@ def duality_check(
 
     The forward side evaluates the duality function with the fixed start at
     the solution at time t; the dual side averages the function, applied to
-    the time-t dual state, over the initial measure.
+    the time-t dual state, over the initial measure.  threads is accepted
+    for compatibility and ignored.
     """
     if isinstance(start, WeightedPartition):
         flavor = "partition"
@@ -729,6 +813,7 @@ def duality_check(
     else:
         start = _validate_counts(cfg, start)
         flavor = "counts"
+    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
     settings = SolverSettings(
         t_max=t, grid_steps=max(16, int(8 * t) + 8), quad_tol=solver_tol
     )
@@ -743,17 +828,13 @@ def duality_check(
         lhs = duality_partition(cfg, start, omega_t)
     else:
         lhs = duality_runtimes(cfg, start, omega_t)
-    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor, threads)
-    mean = rows.sum(axis=0) / replicates
-    var = np.square(rows - mean).sum(axis=0) / max(1, replicates - 1)
-    stderr = np.sqrt(var / replicates)
-    diff = mean - lhs.values
-    z = diff / np.maximum(stderr, 1e-13)
+    est = _estimate(cfg, rows, flavor, seed)
+    z = est.z_scores(lhs)
     return DualityReport(
         flavor=flavor,
         lhs=lhs,
-        mc_mean=Measure(cfg.sites, mean),
-        stderr=stderr,
+        mc_mean=est.mean,
+        stderr=est.stderr,
         z=z,
         max_abs_z=float(np.max(np.abs(z))) if z.size else 0.0,
         replicates=replicates,

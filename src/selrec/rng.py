@@ -1,7 +1,9 @@
 """Deterministic random-stream derivation.
 
-Every Monte Carlo routine takes a single integer seed and derives one
-independent child stream per replicate from (seed, replicate index).  The
+Every Monte Carlo routine takes a single integer seed and derives its
+child streams from it by index path.  The dual samplers draw replicates in
+blocks of a fixed size (duals.BLOCK) and key one stream by (seed, block
+index); other routines key theirs by a fixed label or replicate index.  The
 mapping is fixed, so results do not depend on scheduling or thread count.
 """
 from __future__ import annotations

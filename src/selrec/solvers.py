@@ -226,9 +226,9 @@ def selection_flow(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMea
     return ProbabilityMeasure(omega0.sites, vals)
 
 
-def logistic_fit_fraction(s: float, f0: float, t: float) -> float:
-    """Fit-sequence mass along the selection-only flow."""
-    e = math.exp(min(s * t, 500.0))
+def logistic_fit_fraction(s: float, f0: float, t):
+    """Fit-sequence mass along the selection-only flow; t may be an array."""
+    e = np.exp(np.minimum(s * t, 500.0))
     return e * f0 / (e * f0 + (1.0 - f0))
 
 

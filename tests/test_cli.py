@@ -116,6 +116,24 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_verify_honours_replicates_flag(tmp_path):
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfgp), "--out", str(out),
+                 "--replicates", "700"]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    mc = [c for c in report["checks"] if "replicates" in c]
+    assert len(mc) == 6
+    assert all(c["replicates"] == 700 for c in mc)
+
+
+def test_dual_refuses_overflowing_line_counts(tmp_path, capsys):
+    # s*t = 32 would push the sampled line counts towards 2^63
+    cfgp = write_config(tmp_path, s=4.0, t_max=8.0)
+    assert main(["dual", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 1
+    assert "exp(s*t)" in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path), "--method", "ode"]) == 1

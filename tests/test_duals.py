@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from selrec import (
     DELTA,
@@ -26,6 +26,7 @@ from selrec import (
     duality_runtimes,
     encode,
     fit_fraction,
+    initiation_block_simulate,
     initiation_simulate,
     integrate_ode,
     l1_distance,
@@ -37,12 +38,14 @@ from selrec import (
     selection_flow,
     spawn_stream,
     wpp_simulate,
+    ypir_block_simulate,
     ypir_pgf,
     ypir_semigroup,
     ypir_simulate,
     ypir_stationary,
     ypir_vector_simulate,
 )
+from selrec.duals import BLOCK, _canonical_start, _dual_rows
 from selrec.solvers import SolverSettings
 
 
@@ -291,6 +294,39 @@ def test_simulated_counts_match_semigroup_law():
             assert p > 0.01, f"site {site}, start {m0}, t {t}: p={p:.4f}"
 
 
+def test_block_counts_match_semigroup_law():
+    # site 2 is selected (no initiation, no reset); site 4 never initiates
+    # but resets through site 3's crossovers
+    cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.5, 0.0, 0.7, 0.0))
+    t, runs = 1.0, 20000
+    for m0 in (0, 1, 3):
+        sample = ypir_block_simulate(cfg, [m0] * 4, t, spawn_stream(331, m0), runs)
+        for site in cfg.sites:
+            col = sample[:, site - 1]
+            if m0 == 0 and cfg.rho_of(site) == 0.0:
+                assert not col.any()
+                continue
+            p = _chisq_pvalue(ypir_semigroup(cfg, site, m0, t), col, runs)
+            assert p > 0.001, f"site {site}, start {m0}: p={p:.4f}"
+
+
+def test_block_counts_refuse_overflowing_growth():
+    cfg = SiteConfig(n=2, i_star=1, s=2.0, rho=(0.0, 0.5))
+    nu = ProbabilityMeasure((1, 2), [0.35, 0.15, 0.05, 0.45])
+    with pytest.raises(ValueError, match="exp\\(s\\*t\\)"):
+        ypir_block_simulate(cfg, [1, 0], 16.0, spawn_stream(337, 0), 10)
+    with pytest.raises(ValueError):
+        ypir_block_simulate(cfg, [10**6, 0], 9.0, spawn_stream(337, 1), 10)
+    for flavor in ("counts", "partition"):
+        with pytest.raises(ValueError):
+            mc_solution_estimate(cfg, nu, 16.0, replicates=10, seed=337, flavor=flavor)
+    with pytest.raises(ValueError):
+        duality_check(cfg, nu, [1, 0], 16.0, replicates=10, seed=337)
+    # run times carry no integer draws, and a growth just inside the bound runs
+    mc_solution_estimate(cfg, nu, 16.0, replicates=10, seed=337, flavor="runtimes")
+    mc_solution_estimate(cfg, nu, 14.9, replicates=10, seed=337)
+
+
 # -- stationary law ---------------------------------------------------------------
 
 
@@ -481,6 +517,22 @@ def test_initiation_age_law():
     tail = sum(1 for v in vals if v > x) / runs
     p_tail = math.exp(-0.6 * x)
     assert abs(tail - p_tail) < 3.0 * math.sqrt(p_tail * (1 - p_tail) / runs)
+
+
+def test_block_runtimes_match_event_loop():
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    st = InitiationState((DELTA, 0.1, 0.3))
+    t, runs = 0.8, 5000
+    block = initiation_block_simulate(cfg, st, t, spawn_stream(347, 0), runs)
+    loop = np.array([
+        [-1.0 if e is DELTA else e
+         for e in initiation_simulate(cfg, st, t, spawn_stream(347, 1, r)).entries]
+        for r in range(runs)
+    ])
+    block = np.where(np.isnan(block), -1.0, block)
+    for site in cfg.sites:
+        p = ks_2samp(block[:, site - 1], loop[:, site - 1]).pvalue
+        assert p > 0.001, f"site {site}: p={p:.4f}"
 
 
 def test_initiation_state_serialization():
@@ -694,10 +746,45 @@ def test_mc_estimate_all_flavors_against_ode():
 def test_mc_estimate_thread_count_invariant():
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = random_prob((1, 2, 3), spawn_stream(83, 0))
-    one = mc_solution_estimate(cfg, nu, 0.7, replicates=2000, seed=83, threads=1)
-    four = mc_solution_estimate(cfg, nu, 0.7, replicates=2000, seed=83, threads=4)
-    assert np.array_equal(one.mean.values, four.mean.values)
-    assert np.array_equal(one.stderr, four.stderr)
+    for flavor in ("counts", "partition", "runtimes"):
+        kw = dict(replicates=BLOCK + 5, seed=83, flavor=flavor)
+        one = mc_solution_estimate(cfg, nu, 0.7, threads=1, **kw)
+        four = mc_solution_estimate(cfg, nu, 0.7, threads=4, **kw)
+        assert np.array_equal(one.mean.values, four.mean.values)
+        assert np.array_equal(one.stderr, four.stderr)
+
+
+def test_dual_rows_extend_block_by_block():
+    # one more replicate opens a second block and leaves the first unchanged
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = random_prob((1, 2, 3), spawn_stream(349, 0))
+    for flavor in ("counts", "partition", "runtimes"):
+        start = _canonical_start(cfg, flavor)
+        full = _dual_rows(cfg, nu, start, 0.7, BLOCK, 349, flavor)
+        more = _dual_rows(cfg, nu, start, 0.7, BLOCK + 1, 349, flavor)
+        assert np.array_equal(full, more[:BLOCK])
+
+
+def test_dual_rows_match_per_state_duality_functions():
+    # the grouped evaluation reproduces the duality functions state by state
+    cfg = SiteConfig(n=4, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5, 0.3))
+    nu = random_prob(cfg.sites, spawn_stream(353, 0))
+    t, reps = 0.9, 300
+    m = ypir_block_simulate(cfg, _canonical_start(cfg, "counts"), t, spawn_stream(353, 0), reps)
+    theta = initiation_block_simulate(
+        cfg, InitiationState.initial(cfg), t, spawn_stream(353, 0), reps
+    )
+    rows = {f: _dual_rows(cfg, nu, _canonical_start(cfg, f), t, reps, 353, f)
+            for f in ("counts", "partition", "runtimes")}
+    for r in range(reps):
+        states = {
+            "counts": duality_counts(cfg, m[r], nu),
+            "partition": duality_partition(cfg, decode(m[r], cfg), nu),
+            "runtimes": duality_runtimes(cfg, InitiationState(tuple(
+                DELTA if np.isnan(v) else v for v in theta[r])), nu),
+        }
+        for f, ref in states.items():
+            assert np.allclose(rows[f][r], ref.values, rtol=0.0, atol=1e-13), (f, r)
 
 
 # -- duality checks against the forward flow -----------------------------------------
