@@ -15,7 +15,7 @@ import numpy as np
 
 from .measure import MASS_TOL, NEG_TOL, ProbabilityMeasure, product_measure
 from .sites import SiteConfig
-from .solvers import SolverSettings
+from .solvers import SolverSettings, grid_index
 
 
 class ConfigError(ValueError):
@@ -112,6 +112,13 @@ class ExperimentConfig:
             times = [float(t) for t in times]
             if any(t < 0 or t > settings.t_max + 1e-12 for t in times):
                 raise ConfigError("output_times must lie in [0, t_max]")
+            grid = settings.grid()
+            for t in times:
+                try:
+                    grid_index(grid, t)
+                except ValueError as exc:
+                    spacing = settings.t_max / settings.grid_steps
+                    raise ConfigError(f"output {exc} of spacing {spacing!r}") from None
         flavor = str(raw.get("dual_flavor", "counts"))
         if flavor not in ("counts", "partition", "runtimes", "all"):
             raise ConfigError(f"unknown dual_flavor: {flavor}")

@@ -38,6 +38,7 @@ from .solvers import (
     integrate_ode,
     logistic_fit_fraction,
     selection_flow,
+    yule_pgf,
 )
 
 
@@ -284,22 +285,18 @@ def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     if t == 0.0:
         return x ** m0
 
-    def g(u):
-        sig = math.exp(-s * u)
-        return sig * x / (1.0 - (1.0 - sig) * x) if x != 1.0 else 1.0
-
     if m0 == 0:
         if rho == 0.0:
             return 1.0
 
         def f0(u):
             mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
-            return math.exp(-r * u) * g(u) * mix
+            return math.exp(-r * u) * yule_pgf(s, u, x) * mix
 
         return math.exp(-rho * t) + quad(f0, 0.0, t, **_QUAD_OPTS)[0]
-    out = math.exp(-r * t) * g(t) ** m0
+    out = math.exp(-r * t) * yule_pgf(s, t, x) ** m0
     if r > 0.0:
-        out += quad(lambda u: r * math.exp(-r * u) * g(u), 0.0, t, **_QUAD_OPTS)[0]
+        out += quad(lambda u: r * math.exp(-r * u) * yule_pgf(s, u, x), 0.0, t, **_QUAD_OPTS)[0]
     return out
 
 

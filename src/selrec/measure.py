@@ -279,6 +279,55 @@ def recombinator(nu: Measure, head: Iterable[int], tail: Iterable[int]) -> Measu
     return tensor(nu.project(head), nu.project(tail))
 
 
+class Split:
+    """Row-wise kernel for one crossover cut of a site set into a head and
+    a tail, both contiguous runs of the sorted sites.
+
+    With the smallest site in the least significant bit, the two blocks are
+    the low n_lo bits and the remaining high bits of the flat index.  Values
+    of shape (..., 2^k) reshape to (..., 2^(k - n_lo), 2^n_lo), so a block
+    marginal is a sum over one axis and the recombined state is the outer
+    product of the two marginals.
+    """
+
+    __slots__ = ("n_lo", "head_low")
+
+    def __init__(self, sites: Iterable[int], head: Iterable[int], tail: Iterable[int]):
+        sites = tuple(sorted(sites))
+        head, tail = frozenset(head), frozenset(tail)
+        if head | tail != frozenset(sites) or head & tail:
+            raise ValueError("head and tail must partition the sites")
+        self.head_low = bool(sites) and sites[0] in head
+        low = head if self.head_low else tail
+        if frozenset(sites[: len(low)]) != low:
+            raise ValueError("head and tail must be contiguous runs of sites")
+        self.n_lo = len(low)
+
+    def _blocks(self, V: np.ndarray) -> np.ndarray:
+        return V.reshape(V.shape[:-1] + (-1, 1 << self.n_lo))
+
+    def head(self, V: np.ndarray) -> np.ndarray:
+        """Marginal of every row on the head sites."""
+        return np.add.reduce(self._blocks(V), axis=-2 if self.head_low else -1)
+
+    def tail(self, V: np.ndarray) -> np.ndarray:
+        """Marginal of every row on the tail sites."""
+        return np.add.reduce(self._blocks(V), axis=-1 if self.head_low else -2)
+
+    def product(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Row-wise product state of head and tail marginals."""
+        lo, hi = (head, tail) if self.head_low else (tail, head)
+        return (hi[..., :, None] * lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
+
+    def recombine(self, V: np.ndarray) -> np.ndarray:
+        """Replace every row by the product of its head and tail marginals."""
+        # the vector field calls this on every step: one reshape, no
+        # orientation, since the product is symmetric in the two blocks
+        blocks = V.reshape(V.shape[:-1] + (-1, 1 << self.n_lo))
+        hi = np.add.reduce(blocks, axis=-1, keepdims=True)
+        return (hi * np.add.reduce(blocks, axis=-2, keepdims=True)).reshape(V.shape)
+
+
 def partition_recombinator(nu: Measure, blocks: Iterable[Iterable[int]]) -> Measure:
     """Product of marginals over the blocks of a partition of the sites."""
     blocks = [frozenset(b) for b in blocks]

@@ -6,7 +6,7 @@ Three independent routes to the same solution:
 * a level-by-level recursion that peels off one crossover site at a time
   and only ever integrates scalar exponential weights,
 * a closed semigroup formula that assembles the solution from per-site
-  line-counting laws (requires positive selection strength).
+  line-counting laws.
 
 All of them work on dense measure vectors as defined in ``measure``.
 """
@@ -18,10 +18,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.special import hyp2f1
 
 from .measure import (
     Measure,
     ProbabilityMeasure,
+    Split,
     cond_fit,
     cond_unfit,
     fit_fraction,
@@ -72,6 +74,14 @@ class SolverSettings:
         return np.linspace(0.0, self.t_max, self.grid_steps + 1)
 
 
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the grid point at t, matched to a relative 1e-9."""
+    j = int(np.argmin(np.abs(times - t)))
+    if abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not on the solver grid")
+    return j
+
+
 class Trajectory:
     """Solution values on a fixed time grid."""
 
@@ -84,10 +94,7 @@ class Trajectory:
             raise ValueError("trajectory shape does not match grid and sites")
 
     def index_of_time(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the solver grid")
-        return j
+        return grid_index(self.times, t)
 
     def measure(self, j: int) -> Measure:
         return Measure(self.sites, self.values[j])
@@ -118,33 +125,6 @@ class Trajectory:
 
 # -- right-hand side --------------------------------------------------------
 
-def _subset_bits(sites: tuple[int, ...], subset: frozenset[int]) -> np.ndarray:
-    """Map each full index to the flat index of its restriction to subset."""
-    idx = np.arange(2 ** len(sites))
-    g = np.zeros_like(idx)
-    pos = 0
-    for j, a in enumerate(sites):
-        if a in subset:
-            g |= ((idx >> j) & 1) << pos
-            pos += 1
-    return g
-
-
-def _axes_to_drop(sites: tuple[int, ...], keep: frozenset[int]) -> tuple[int, ...]:
-    k = len(sites)
-    return tuple(k - 1 - j for j, a in enumerate(sites) if a not in keep)
-
-
-def _project_rows(W: np.ndarray, sites: tuple[int, ...], keep: frozenset[int]) -> np.ndarray:
-    """Marginalise every row of a (rows, 2^k) array onto the kept sites."""
-    k = len(sites)
-    axes = tuple(a + 1 for a in _axes_to_drop(sites, keep))
-    arr = W.reshape((W.shape[0],) + (2,) * k)
-    if axes:
-        arr = arr.sum(axis=axes)
-    return arr.reshape(W.shape[0], -1)
-
-
 def make_rhs(
     sites: Sequence[int],
     i_star: int,
@@ -153,34 +133,26 @@ def make_rhs(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Vector field of the dynamics on the given sites.
 
-    splits lists (rate, head, tail) partitions; entries with zero rate may
-    be omitted by the caller.  The returned function maps a raw value
-    vector to its time derivative.
+    splits lists (rate, head, tail) partitions into two contiguous runs of
+    sites, as every crossover cut is; entries with zero rate may be omitted
+    by the caller.  The returned function maps a raw value vector to its
+    time derivative.
     """
     sites = tuple(sorted(sites))
     fmask = fit_mask(sites, i_star).astype(float)
-    terms = []
-    for rate, head, tail in splits:
-        if rate == 0.0:
-            continue
-        gC = _subset_bits(sites, frozenset(head))
-        gD = _subset_bits(sites, frozenset(tail))
-        axC = _axes_to_drop(sites, frozenset(head))
-        axD = _axes_to_drop(sites, frozenset(tail))
-        terms.append((float(rate), axC, axD, gC, gD))
-    shape = (2,) * len(sites)
+    terms = [
+        (float(rate), Split(sites, head, tail))
+        for rate, head, tail in splits
+        if rate != 0.0
+    ]
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape)
         if s:
             f = float(v @ fmask)
             out += s * (v * fmask - f * v)
-        if terms:
-            arr = v.reshape(shape)
-            for rate, axC, axD, gC, gD in terms:
-                pc = arr.sum(axis=axC).reshape(-1) if axC else v
-                pd = arr.sum(axis=axD).reshape(-1) if axD else v
-                out += rate * (pc[gC] * pd[gD] - v)
+        for rate, split in terms:
+            out += rate * (split.recombine(v) - v)
         return out
 
     return rhs
@@ -375,23 +347,20 @@ def _recursion_levels(cfg, omega0, times, permutation):
         e * f0 + (1.0 - f0)
     )[:, None]
     levels = [level]
-    sites = cfg.sites
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
         if rate == 0.0:
             levels.append(levels[-1])
             continue
-        head, tail = cfg.head_tail(i)
+        split = Split(cfg.sites, *cfg.head_tail(i))
         prev = levels[-1]
         decay = np.exp(-rate * times)
         integ = cumulative_trapezoid(
             (rate * decay)[:, None] * prev, x=times, axis=0, initial=0.0
         )
-        pc = _project_rows(prev, sites, head)
-        pd = _project_rows(integ, sites, tail)
-        gC = _subset_bits(sites, head)
-        gD = _subset_bits(sites, tail)
-        levels.append(decay[:, None] * prev + pc[:, gC] * pd[:, gD])
+        levels.append(
+            decay[:, None] * prev + split.product(split.head(prev), split.tail(integ))
+        )
     return levels
 
 
@@ -412,15 +381,10 @@ def ld_decay_residual(family: TruncatedFamily, level: int) -> dict:
     cfg = family.cfg
     i = family.permutation[level]
     rate = cfg.rho_of(i)
-    head, tail = cfg.head_tail(i)
-    sites = cfg.sites
-    gC = _subset_bits(sites, head)
-    gD = _subset_bits(sites, tail)
+    split = Split(cfg.sites, *cfg.head_tail(i))
 
     def deviation(W):
-        pc = _project_rows(W, sites, head)
-        pd = _project_rows(W, sites, tail)
-        return W - pc[:, gC] * pd[:, gD]
+        return W - split.recombine(W)
 
     lhs = deviation(family.levels[level].values)
     below = deviation(family.levels[level - 1].values)
@@ -451,10 +415,8 @@ def _started_mass_pgf(s, rho, r, t, x, quad_tol):
     rate rho, afterwards the count runs with resets at rate r; only the age
     since the last renewal matters."""
     def integrand(u):
-        sig = math.exp(-s * u)
-        g = sig * x / (1.0 - (1.0 - sig) * x) if x != 1.0 else 1.0
         mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
-        return math.exp(-r * u) * g * mix
+        return math.exp(-r * u) * yule_pgf(s, u, x) * mix
 
     val, _ = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)
     return val
@@ -463,22 +425,14 @@ def _started_mass_pgf(s, rho, r, t, x, quad_tol):
 def semigroup_solve(
     cfg: SiteConfig, omega0: Measure, t: float, quad_tol: float = 1e-10
 ) -> ProbabilityMeasure:
-    """Assemble the solution directly from per-site renewal laws.
-
-    Needs s > 0; with s = 0 the same state is produced by recursive_solve
-    on an automatically chosen grid.
-    """
+    """Assemble the solution directly from per-site renewal laws; with
+    s = 0 every count stays at its start and the same formula applies."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return ProbabilityMeasure(omega0.sites, omega0.values)
-    if cfg.s == 0.0:
-        total = sum(cfg.rho) + 1.0
-        steps = min(40000, max(1000, int(400 * t * total)))
-        settings = SolverSettings(t_max=t, grid_steps=steps, quad_tol=1e-5)
-        return recursive_solve(cfg, omega0, settings).final_probability()
     x = 1.0 - fit_fraction(omega0, cfg.i_star)
     b = cond_fit(omega0, cfg.i_star)
     d = cond_unfit(omega0, cfg.i_star)
@@ -490,24 +444,23 @@ def semigroup_solve(
         if rho == 0.0:
             continue
         r = float(resets[i - 1])
-        tail = cfg.tail(i)
+        head, tail = cfg.head_tail(i)
         started = 1.0 - math.exp(-rho * t)
         gmass = _started_mass_pgf(cfg.s, rho, r, t, x, quad_tol)
         mix = d.project(tail).values * gmass + b.project(tail).values * (
             started - gmass
         )
-        gC = _subset_bits(cfg.sites, cfg.head(i))
-        gD = _subset_bits(cfg.sites, tail)
-        pc = _project_rows(acc[None, :], cfg.sites, cfg.head(i))[0]
-        acc = (1.0 - started) * acc + pc[gC] * mix[gD]
+        split = Split(cfg.sites, head, tail)
+        acc = (1.0 - started) * acc + split.product(split.head(acc), mix)
     return ProbabilityMeasure(cfg.sites, acc / acc.sum())
 
 
 # -- long-time limit ----------------------------------------------------------
 
-def stationary_count_pgf(alpha: float, x: float, term_tol: float = 1e-14) -> float:
+def stationary_count_pgf(alpha: float, x: float) -> float:
     """Generating function of the stationary line-count law with shape
-    alpha (reset rate over selection strength), evaluated at x in [0, 1]."""
+    alpha (reset rate over selection strength), evaluated at x in [0, 1];
+    P(m + 1 lines) = P(m lines) * m / (m + alpha + 1) sums to a 2F1."""
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     if alpha <= 0.0:
@@ -516,16 +469,7 @@ def stationary_count_pgf(alpha: float, x: float, term_tol: float = 1e-14) -> flo
         return 0.0
     if x == 1.0:
         return 1.0
-    term = alpha / (alpha + 1.0) * x
-    total = term
-    m = 1
-    while term * x / (1.0 - x) >= term_tol:
-        term *= x * m / (m + alpha + 1.0)
-        m += 1
-        total += term
-        if m > 50_000_000:
-            raise SolverError("stationary series failed to converge")
-    return total
+    return x * alpha / (alpha + 1.0) * float(hyp2f1(1.0, 1.0, alpha + 2.0, x))
 
 
 def asymptotic_limit(cfg: SiteConfig, omega0: Measure) -> ProbabilityMeasure:

@@ -134,6 +134,14 @@ def test_dual_refuses_overflowing_line_counts(tmp_path, capsys):
     assert "exp(s*t)" in capsys.readouterr().err
 
 
+def test_off_grid_output_times_refused_before_solving(tmp_path, capsys):
+    cfgp = write_config(tmp_path, t_max=1.0, grid_steps=512, output_times=[0.3, 1.0])
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfgp), "--out", str(out), "--method", "all"]) == 1
+    assert "0.3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path), "--method", "ode"]) == 1

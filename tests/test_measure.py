@@ -21,7 +21,7 @@ from selrec import (
     tensor,
     uniform,
 )
-from selrec.measure import UNIT, scalar
+from selrec.measure import UNIT, Split, scalar
 
 
 def random_prob(sites, rng):
@@ -146,6 +146,43 @@ def test_recombinator_two_sites():
     nu = Measure((1, 2), np.array([0.5, 0.0, 0.0, 0.5]))
     got = recombinator(nu, {1}, {2})
     assert got.allclose(uniform((1, 2)))
+
+
+def assert_split_matches_recombinator(sites, head, tail, rng):
+    V = rng.random((5, 2 ** len(sites)))
+    split = Split(sites, head, tail)
+    got = split.recombine(V)
+    via_marginals = split.product(split.head(V), split.tail(V))
+    for row, g, m in zip(V, got, via_marginals):
+        expect = recombinator(Measure(sites, row), head, tail).values
+        assert np.array_equal(g, expect)
+        assert np.array_equal(m, expect)
+
+
+def test_split_kernel_matches_recombinator_at_every_crossover():
+    # every crossover cuts the sites into two contiguous bit ranges
+    rng = spawn_stream(0, 12)
+    for n in range(1, 9):
+        for i_star in range(1, n + 1):
+            cfg = SiteConfig(n=n, i_star=i_star, s=1.0, rho=(0.0,) * n)
+            for i in cfg.crossover_sites:
+                assert_split_matches_recombinator(cfg.sites, *cfg.head_tail(i), rng)
+
+
+def test_split_kernel_on_marginal_subset():
+    rng = spawn_stream(0, 13)
+    cfg = SiteConfig(n=8, i_star=4, s=1.0, rho=(0.3,) * 3 + (0.0,) + (0.3,) * 4)
+    A = (1, 3, 4, 6, 7)
+    for i in cfg.marginal_rates(A):
+        head, tail = cfg.head_tail(i)
+        assert_split_matches_recombinator(A, head & set(A), tail & set(A), rng)
+
+
+def test_split_refuses_non_contiguous_blocks():
+    with pytest.raises(ValueError, match="contiguous"):
+        Split((1, 2, 3), {1, 3}, {2})
+    with pytest.raises(ValueError, match="partition"):
+        Split((1, 2, 3), {1}, {2})
 
 
 def test_partition_recombinator_identity_and_single_cut():

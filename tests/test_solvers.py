@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from selrec import (
     sre_rhs,
     stationary_count_pgf,
     uniform,
+    ypir_stationary,
 )
 
 
@@ -259,16 +261,17 @@ def test_semigroup_with_all_mass_fit():
 def test_semigroup_matches_ode():
     rng = spawn_stream(101, 14)
     for _ in range(6):
-        cfg = random_cfg(rng)
-        nu = random_prob(cfg.sites, rng)
-        for t in (0.5, 1.0, 2.0):
-            got = semigroup_solve(cfg, nu, t)
-            ode = integrate_ode(cfg, nu, SolverSettings(t_max=t, grid_steps=512,
-                                                        quad_tol=1e-10))
-            assert l1_distance(got, ode.final()) < 1e-5
+        drawn = random_cfg(rng)
+        nu = random_prob(drawn.sites, rng)
+        for cfg in (drawn, dataclasses.replace(drawn, s=0.0)):
+            for t in (0.5, 1.0, 2.0):
+                got = semigroup_solve(cfg, nu, t)
+                ode = integrate_ode(cfg, nu, SolverSettings(t_max=t, grid_steps=512,
+                                                            quad_tol=1e-10))
+                assert l1_distance(got, ode.final()) < 1e-5
 
 
-def test_semigroup_no_selection_falls_back():
+def test_semigroup_without_selection():
     rng = spawn_stream(101, 15)
     cfg = SiteConfig(n=2, i_star=1, s=0.0, rho=(0.0, 0.9))
     nu = random_prob((1, 2), rng)
@@ -276,7 +279,7 @@ def test_semigroup_no_selection_falls_back():
     w = math.exp(-0.9)
     R = recombinator(nu, *cfg.head_tail(2))
     expect = nu.scale(w).add(R.scale(1.0 - w))
-    assert l1_distance(got, expect) < 1e-6
+    assert l1_distance(got, expect) < 1e-10
 
 
 # -- linkage decay ---------------------------------------------------------------
@@ -373,6 +376,15 @@ def test_stationary_pgf_endpoints():
     x = 1e-8
     got = stationary_count_pgf(2.0, x)
     assert got == pytest.approx(x * 2.0 / 3.0, rel=1e-6)
+
+
+def test_stationary_pgf_matches_stationary_law():
+    # the closed form against the independently summed stationary law
+    for alpha in (3.0, 5.0, 7.5, 20.0):
+        cfg = SiteConfig(n=2, i_star=1, s=1.0, rho=(0.0, alpha))
+        law = ypir_stationary(cfg, 2)
+        for x in (0.1, 0.5, 0.9, 0.99, 0.999):
+            assert abs(stationary_count_pgf(alpha, x) - law.pgf(x)) < 1e-11
 
 
 # -- marginal dynamics -----------------------------------------------------------
