@@ -119,8 +119,10 @@ class Trajectory:
 
     def write_csv(self, fh) -> None:
         fh.write("t," + ",".join(self.column_labels()) + "\n")
-        for t, row in zip(self.times, self.values):
-            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
+        # one row of Python floats at a time: a whole-array tolist() would
+        # hold about four times the array's bytes in float objects
+        for t, row in zip(self.times.tolist(), self.values):
+            fh.write(repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 # -- right-hand side --------------------------------------------------------
@@ -149,8 +151,11 @@ def make_rhs(
     def rhs(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
         if s:
-            f = float(v @ fmask)
-            out += s * (v * fmask - f * v)
+            # an elementwise sum, not a BLAS dot: its bits must not depend
+            # on the BLAS thread count
+            vf = v * fmask
+            f = float(vf.sum())
+            out += s * (vf - f * v)
         for rate, split in terms:
             out += rate * (split.recombine(v) - v)
         return out

@@ -71,6 +71,13 @@ def test_moran_report(tmp_path):
     payload = json.loads((out / "moran_lln.json").read_text())
     assert payload["population_sizes"] == [50, 200]
     assert len(payload["mean_distance"]) == 2
+    # events summed over replicates: Poisson with mean R * N * (1 + s + sum rho) * t
+    for N, events in zip(payload["population_sizes"], payload["events"]):
+        lam = BASE["moran_replicates"] * N * (1 + BASE["s"] + sum(BASE["rho"])) * BASE["t_max"]
+        assert isinstance(events, int) and abs(events - lam) < 5 * lam ** 0.5
+    again = tmp_path / "again"
+    assert main(["moran", "--config", str(cfgp), "--out", str(again)]) == 0
+    assert (again / "moran_lln.json").read_bytes() == (out / "moran_lln.json").read_bytes()
 
 
 def test_asymptotics_outputs(tmp_path):

@@ -18,6 +18,67 @@ from selrec import (
     sample_population,
     spawn_stream,
 )
+from selrec.moran import _EVENT_CHUNK
+
+
+def _moran_events_reference(
+    cfg: SiteConfig,
+    state: MoranState,
+    t: float,
+    rng,
+    event_log: bool = False,
+) -> MoranState:
+    """Event-by-event Moran simulation: the oracle for moran_simulate."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    N = state.size
+    kinds = ["neutral", "selective"] + [f"recombination_{i}" for i in cfg.crossover_sites]
+    rates = np.array(
+        [float(N), cfg.s * N] + [cfg.rho_of(i) * N for i in cfg.crossover_sites]
+    )
+    total = float(rates.sum())
+    types = state.types.copy()
+    counters = dict(state.counters)
+    log: list[tuple] = []
+    fit_bit = cfg.i_star - 1
+    masks = {
+        i: (
+            sum(1 << (a - 1) for a in cfg.head(i)),
+            sum(1 << (a - 1) for a in cfg.tail(i)),
+        )
+        for i in cfg.crossover_sites
+    }
+    n_events = rng.poisson(total * t) if total > 0.0 and t > 0.0 else 0
+    times = np.sort(rng.uniform(0.0, t, size=n_events)) if event_log else None
+    done = 0
+    while done < n_events:
+        chunk = min(_EVENT_CHUNK, n_events - done)
+        kind_idx = rng.choice(rates.size, size=chunk, p=rates / total)
+        alpha = rng.integers(0, N, size=chunk)
+        beta = rng.integers(0, N, size=chunk)
+        gamma = rng.integers(0, N, size=chunk)
+        for j in range(chunk):
+            k = int(kind_idx[j])
+            a, b, g = int(alpha[j]), int(beta[j]), int(gamma[j])
+            kind = kinds[k]
+            counters[kind] = counters.get(kind, 0) + 1
+            if k == 0:
+                types[a] = types[b]
+            elif k == 1:
+                parent = int(types[b])
+                if (parent >> fit_bit) & 1 == 0:
+                    types[a] = parent
+            else:
+                site = cfg.crossover_sites[k - 2]
+                head_mask, tail_mask = masks[site]
+                types[a] = (int(types[b]) & head_mask) | (int(types[g]) & tail_mask)
+            if event_log:
+                log.append((float(times[done + j]), kind, a, b, g))
+        done += chunk
+    out = MoranState(types=types, clock=state.clock + t, counters=counters)
+    if event_log:
+        out.counters["_event_log"] = log
+    return out
 
 
 def test_sample_population_validation():
@@ -149,3 +210,47 @@ def test_lln_validation():
         lln_convergence(cfg, nu, 1.0, (100,), replicates=1, seed=1)
     with pytest.raises(ValueError):
         lln_convergence(cfg, nu, 1.0, (0, 100), replicates=3, seed=1)
+
+
+
+def _oracle_cfg(case, n):
+    # s = 0 in a third of the cases; a site other than the selected one gets
+    # rate 0 with probability 0.3
+    rng = np.random.default_rng(100 + case)
+    i_star = int(rng.integers(1, n + 1))
+    rho = tuple(
+        0.0 if i == i_star or rng.random() < 0.3 else float(rng.uniform(0.1, 2.0))
+        for i in range(1, n + 1)
+    )
+    s = 0.0 if case % 3 == 0 else float(rng.uniform(0.1, 2.0))
+    return SiteConfig(n=n, i_star=i_star, s=s, rho=rho)
+
+
+# event rate of the last case: 20000 * (1 + 1.5 + 1.8) * 2.0 events per unit
+# time, so several chunks of _EVENT_CHUNK events run
+ORACLE_CASES = [
+    (_oracle_cfg(c, n=(c + c // 6) % 6 + 1), N, 0.4 if N == 20000 else 3.0)
+    for c, N in enumerate([1, 2, 3, 37, 500, 20000] * 2)
+] + [(SiteConfig(n=4, i_star=2, s=1.5, rho=(0.9, 0.0, 0.0, 0.9)), 20000, 2.0)]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_batched_events_match_event_loop(case):
+    cfg, N, t = ORACLE_CASES[case]
+    nu = ProbabilityMeasure(
+        cfg.sites, np.random.default_rng(case).dirichlet(np.ones(2 ** cfg.n))
+    )
+    pop = sample_population(cfg, N, nu, spawn_stream(40, case))
+    before = pop.types.copy()
+    for event_log in (False, True):
+        got = moran_simulate(cfg, pop, t, spawn_stream(41, case), event_log=event_log)
+        want = _moran_events_reference(
+            cfg, pop, t, spawn_stream(41, case), event_log=event_log
+        )
+        assert np.array_equal(got.types, want.types)
+        assert got.counters == want.counters
+        assert got.clock == want.clock
+    assert np.array_equal(pop.types, before)
+    assert pop.counters == {} and pop.clock == 0.0
+    if case == len(ORACLE_CASES) - 1:
+        assert len(got.counters["_event_log"]) > 2 * _EVENT_CHUNK

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +126,36 @@ def test_rhs_conserves_mass():
 
 
 # -- ODE integration -------------------------------------------------------------
+
+
+_ODE_DIGESTS = """
+import hashlib
+import numpy as np
+from selrec import ProbabilityMeasure, SiteConfig, SolverSettings, integrate_ode
+for n in (12, 14):
+    rng = np.random.default_rng(n)
+    rho = tuple(0.0 if i == 1 else float(rng.uniform(0.1, 0.5)) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=1, s=0.7, rho=rho)
+    nu = ProbabilityMeasure(cfg.sites, rng.dirichlet(np.ones(2 ** n)))
+    settings = SolverSettings(t_max=0.05, grid_steps=2, quad_tol=1e-3)
+    values = integrate_ode(cfg, nu, settings).values
+    print(n, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_ode_bits_independent_of_blas_threads():
+    # OpenBLAS splits a dot product over its threads above about 10^4
+    # entries (n = 14), and the split changes the summation order
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _ODE_DIGESTS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == 2
+    assert digests[0] == digests[1]
 
 
 def test_ode_constant_when_all_rates_vanish():
