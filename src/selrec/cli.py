@@ -102,6 +102,9 @@ def cmd_solve(args) -> int:
     runtimes: dict[str, float] = {}
     wanted = ("ode", "recursion", "semigroup") if method == "all" else (method,)
     times = exp.output_times or _comparison_times(exp.settings)
+    if "semigroup" in wanted:
+        # load quad now, so that runtimes_seconds books no import to semigroup
+        import scipy.integrate  # noqa: F401
     for name in wanted:
         tic = time.perf_counter()
         if name == "ode":

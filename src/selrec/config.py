@@ -103,7 +103,7 @@ class ExperimentConfig:
                     if raw.get("ode_step") is not None
                     else None
                 ),
-                quad_tol=float(raw.get("quad_tol", 1e-8)),
+                quad_tol=float(raw.get("quad_tol", 1e-7)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measure import (
     Measure,
@@ -234,6 +233,8 @@ def ypir_semigroup(
     start, after a renewal of age u it is geometric with parameter
     exp(-s*u).  Truncated once the accounted mass reaches 1 - tail_tol.
     """
+    from scipy.integrate import quad
+
     if m0 < 0:
         raise ValueError("count must be >= 0")
     if t < 0:
@@ -279,6 +280,8 @@ def ypir_semigroup(
 
 def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     """E[x^(count at t)] started from m0, for x in [0, 1]."""
+    from scipy.integrate import quad
+
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     s, rho, r = _site_rates(cfg, i)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.special import hyp2f1
 
 from .measure import (
     Measure,
@@ -341,6 +339,14 @@ def recursive_solve(
     return fam
 
 
+def _cumulative_trapezoid(y, times):
+    """Trapezoid integrals of the rows of y from times[0] to each time, in
+    the order of operations of scipy's cumulative_trapezoid (same bits)."""
+    out = np.zeros_like(y)
+    np.cumsum(np.diff(times)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
 def _recursion_levels(cfg, omega0, times, permutation):
     s = cfg.s
     v0 = omega0.values
@@ -360,9 +366,7 @@ def _recursion_levels(cfg, omega0, times, permutation):
         split = Split(cfg.sites, *cfg.head_tail(i))
         prev = levels[-1]
         decay = np.exp(-rate * times)
-        integ = cumulative_trapezoid(
-            (rate * decay)[:, None] * prev, x=times, axis=0, initial=0.0
-        )
+        integ = _cumulative_trapezoid((rate * decay)[:, None] * prev, times)
         levels.append(
             decay[:, None] * prev + split.product(split.head(prev), split.tail(integ))
         )
@@ -419,6 +423,8 @@ def _started_mass_pgf(s, rho, r, t, x, quad_tol):
     """E[x^N; N >= 1] for the count started at 0: the site fires once at
     rate rho, afterwards the count runs with resets at rate r; only the age
     since the last renewal matters."""
+    from scipy.integrate import quad
+
     def integrand(u):
         mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
         return math.exp(-r * u) * yule_pgf(s, u, x) * mix
@@ -474,6 +480,8 @@ def stationary_count_pgf(alpha: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    from scipy.special import hyp2f1
+
     return x * alpha / (alpha + 1.0) * float(hyp2f1(1.0, 1.0, alpha + 2.0, x))
 
 

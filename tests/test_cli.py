@@ -202,3 +202,43 @@ def test_module_entrypoint(tmp_path):
     )
     assert version.returncode == 0
     assert version.stdout.startswith("selrec")
+
+
+REQUIRED_ONLY = {key: BASE[key] for key in ("n", "i_star", "s", "rho", "initial")}
+
+
+def test_required_keys_alone_solve_and_verify(tmp_path):
+    # every other field takes its default (t_max 1, grid 512, quad_tol 1e-7,
+    # seed 0, 10,000 replicates, z_threshold 4), which the recursion's
+    # half-step check and the Monte Carlo checks must accept
+    cfgp = tmp_path / "required.json"
+    cfgp.write_text(json.dumps(REQUIRED_ONLY))
+    assert main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "solve"),
+                 "--method", "all"]) == 0
+    assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "verify")]) == 0
+
+
+_IMPORT_BOUNDARY = """
+import sys
+import selrec, selrec.cli
+from selrec.config import ExperimentConfig
+
+cfg_path, out = sys.argv[1], sys.argv[2]
+exp = ExperimentConfig.from_file(cfg_path)
+for command in ("moran", "dual", "ld"):
+    assert selrec.cli.main([command, "--config", cfg_path, "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+selrec.semigroup_solve(exp.cfg, exp.omega0, exp.settings.t_max, exp.settings.quad_tol)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_numpy_only_commands_never_load_scipy(tmp_path):
+    cfgp = write_config(tmp_path, replicates=200, moran_population_sizes=[20, 40],
+                        moran_replicates=2)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, str(cfgp), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    # the control: the closed semigroup form does load the quadrature
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]

@@ -35,6 +35,7 @@ from selrec import (
     uniform,
     ypir_stationary,
 )
+from selrec.solvers import _cumulative_trapezoid
 
 
 def random_prob(sites, rng):
@@ -204,6 +205,17 @@ def test_trajectory_time_lookup():
 
 
 # -- recursion --------------------------------------------------------------------
+
+def test_trapezoid_prefix_sum_matches_scipy_bits():
+    from scipy.integrate import cumulative_trapezoid
+
+    times = np.linspace(0.0, 0.7, 129)  # steps unequal in the last bits
+    y = spawn_stream(101, 31).random((129, 64))
+    assert np.array_equal(
+        _cumulative_trapezoid(y, times),
+        cumulative_trapezoid(y, x=times, axis=0, initial=0.0),
+    )
+
 
 
 def test_recursion_levels_degenerate_without_rate():
