@@ -217,7 +217,6 @@ def test_trapezoid_prefix_sum_matches_scipy_bits():
     )
 
 
-
 def test_recursion_levels_degenerate_without_rate():
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.0, 0.0, 0.8))
     rng = spawn_stream(101, 7)
