@@ -34,6 +34,7 @@ from .solvers import (
     SolverError,
     SolverSettings,
     Trajectory,
+    TruncatedFamily,
     asymptotic_limit,
     equilibration_time,
     integrate_ode,
@@ -300,10 +301,12 @@ def cmd_ld(args) -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-def _check_solver_agreement(exp: ExperimentConfig) -> dict:
+def _check_solver_agreement(
+    exp: ExperimentConfig, ode_traj: Trajectory, family: TruncatedFamily
+) -> dict:
     t = exp.settings.t_max
-    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings).final()
-    rec = recursive_solve(exp.cfg, exp.omega0, exp.settings).solution.final()
+    ode = ode_traj.final()
+    rec = family.solution.final()
     semi = semigroup_solve(exp.cfg, exp.omega0, t, exp.settings.quad_tol)
     pair = {
         "ode_recursion": l1_distance(ode, rec),
@@ -343,8 +346,7 @@ def _check_product_algebra(exp: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def _check_ld_identity(exp: ExperimentConfig) -> dict:
-    family = recursive_solve(exp.cfg, exp.omega0, exp.settings)
+def _check_ld_identity(family: TruncatedFamily) -> dict:
     worst = 0.0
     for level in range(1, len(family.levels)):
         res = ld_decay_residual(family, level)
@@ -419,10 +421,9 @@ def _check_solution_mc(exp: ExperimentConfig, seed: int, replicates: int) -> lis
     return out
 
 
-def _check_marginals(exp: ExperimentConfig) -> dict:
+def _check_marginals(exp: ExperimentConfig, full: Trajectory) -> dict:
     cfg = exp.cfg
     worst = 0.0
-    full = integrate_ode(exp.cfg, exp.omega0, exp.settings)
     others = [i for i in cfg.sites if i != cfg.i_star]
     for mask in range(2 ** len(others)):
         subset = [cfg.i_star] + [a for j, a in enumerate(others) if (mask >> j) & 1]
@@ -459,14 +460,17 @@ def cmd_verify(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else exp.seed
     replicates = args.replicates or exp.replicates
+    # the forward problems on the config's own settings, shared by the checks
+    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings)
+    family = recursive_solve(exp.cfg, exp.omega0, exp.settings)
     checks = [
-        _check_solver_agreement(exp),
+        _check_solver_agreement(exp, ode, family),
         _check_product_algebra(exp, seed),
-        _check_ld_identity(exp),
+        _check_ld_identity(family),
         _check_selection_duality(exp),
         *_check_duality_mc(exp, seed, replicates),
         *_check_solution_mc(exp, seed, replicates),
-        _check_marginals(exp),
+        _check_marginals(exp, ode),
         _check_encoding(exp, seed),
     ]
     ok = all(c["passed"] for c in checks)

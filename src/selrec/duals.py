@@ -23,17 +23,19 @@ import numpy as np
 from .measure import (
     Measure,
     ProbabilityMeasure,
+    Split,
     boxtimes,
     cond_fit,
     cond_unfit,
     fit_fraction,
     tensor,
 )
-from .partitions import WeightedPartition, anchor_site, decode, encode
+from .partitions import WeightedPartition, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
     SolverSettings,
+    _started_mass_pgf,
     integrate_ode,
     logistic_fit_fraction,
     selection_flow,
@@ -291,12 +293,9 @@ def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     if m0 == 0:
         if rho == 0.0:
             return 1.0
-
-        def f0(u):
-            mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
-            return math.exp(-r * u) * yule_pgf(s, u, x) * mix
-
-        return math.exp(-rho * t) + quad(f0, 0.0, t, **_QUAD_OPTS)[0]
+        return math.exp(-rho * t) + _started_mass_pgf(
+            s, rho, r, t, x, _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"]
+        )
     out = math.exp(-r * t) * yule_pgf(s, t, x) ** m0
     if r > 0.0:
         out += quad(lambda u: r * math.exp(-r * u) * yule_pgf(s, u, x), 0.0, t, **_QUAD_OPTS)[0]
@@ -579,85 +578,60 @@ def duality_runtimes(
 
 # Replicates are drawn in blocks of this many, block b from stream (seed, b),
 # so the draws depend on neither scheduling nor thread count; the block also
-# bounds the per-group temporaries of the evaluator.
+# bounds the evaluator's temporaries and the rows held at once, about
+# BLOCK * 2^n floats per array.
 BLOCK = 4096
 
 
 class _MixtureEvaluator:
     """Evaluation of a duality function at nu for whole blocks of dual states.
 
-    Every factor of a duality value is an affine mixture of the fit and
-    unfit conditionals of nu, restricted to the tail of a started site
-    (counts and run times) or to the partition block that the started site
-    anchors (partitions).  For a fixed set of started sites the value is
-    therefore multilinear in the per-site unfit weights; the basis products
-    are cached per started set.
+    Every factor of a duality value is an affine mixture (1 - g)*b + g*d of
+    the fit and unfit conditionals of nu, restricted to the tail of a
+    started site.  Taken outward from the selected site, each factor
+    overwrites the tail of the product so far, which is the overwrite
+    product of `duality_counts` done row-wise with one `Split` per site.
+    The partition picture gives the same values: the part of a tail that
+    no later factor overwrites is the block its started site anchors.
     """
 
-    def __init__(self, cfg: SiteConfig, nu: Measure, blocks: bool = False):
-        self.cfg = cfg
+    def __init__(self, cfg: SiteConfig, nu: Measure):
         self.y = 1.0 - fit_fraction(nu, cfg.i_star)
-        self._b = cond_fit(nu, cfg.i_star)
-        self._d = cond_unfit(nu, cfg.i_star)
-        self._blocks = blocks
+        b = cond_fit(nu, cfg.i_star)
+        d = cond_unfit(nu, cfg.i_star)
         self.perm = cfg.canonical_permutation()
-        # bit j of a started-set key marks the j-th site of perm
-        self._bits = np.zeros(cfg.n, dtype=np.int64)
-        for j, i in enumerate(self.perm):
-            self._bits[i - 1] = 1 << j
-        self._basis: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _supports(self, active: tuple[int, ...]) -> list:
-        """Site set of each started site's factor."""
-        if not self._blocks:
-            return [self.cfg.tail(i) for i in active]
-        anchors = np.zeros(self.cfg.n, dtype=np.int64)
-        anchors[[i - 1 for i in active]] = 1
-        blocks = decode(anchors, self.cfg).partition.blocks
-        block_of = {anchor_site(b, self.cfg.i_star): b for b in blocks}
-        return [block_of[i] for i in active]
-
-    def basis(self, active: tuple[int, ...]) -> np.ndarray:
-        """Row c: the product over started sites of the unfit factor where
-        bit j of c is set and the fit factor elsewhere."""
-        cached = self._basis.get(active)
-        if cached is not None:
-            return cached
-        pairs = [(self._b.project(S), self._d.project(S)) for S in self._supports(active)]
-        out = np.empty((1 << len(active), 1 << self.cfg.n))
-
-        # depth first, so that rows sharing a prefix share its products
-        def expand(acc: Measure, j: int, c: int) -> None:
-            if j == len(pairs):
-                out[c] = acc.values
-                return
-            for bit, part in enumerate(pairs[j]):
-                expand(boxtimes(acc, part), j + 1, c | bit << j)
-
-        expand(Measure((), [1.0]), 0, 0)
-        self._basis[active] = out
-        return out
+        self._b, self._d = b.values, d.values
+        # per crossover site: its split and the tail marginals of b and d
+        self._tails = {}
+        for i in self.perm[1:]:
+            head, tail = cfg.head_tail(i)
+            self._tails[i] = (
+                Split(cfg.sites, head, tail),
+                b.project(tail).values,
+                d.project(tail).values,
+            )
 
     def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
-        """Duality values of states sharing one started set; dweights holds
-        one row of unfit weights per state, one column per started site."""
-        coeff = np.ones((dweights.shape[0], 1 << len(active)))
-        size = 1
-        for g in dweights.T:
+        """Duality values of states sharing one started set, which opens
+        with the selected site; dweights holds one row of unfit weights per
+        state, one column per started site."""
+        g = dweights[:, :1]
+        out = (1.0 - g) * self._b + g * self._d
+        for i, g in zip(active[1:], dweights.T[1:]):
+            split, b, d = self._tails[i]
             g = g[:, None]
-            coeff[:, size : 2 * size] = coeff[:, :size] * g
-            coeff[:, :size] *= 1.0 - g
-            size *= 2
-        return coeff @ self.basis(active)
+            out = split.product(split.head(out), (1.0 - g) * b + g * d)
+        return out
 
     def fill(self, rows: np.ndarray, started: np.ndarray, dweights: np.ndarray) -> None:
         """Write each state's duality value into its row; started and
         dweights have one row per state and one column per site."""
-        keys = started @ self._bits
+        # bit i - 1 of a started-set key marks site i
+        keys = started @ (1 << np.arange(started.shape[1]))
         order = np.argsort(keys, kind="stable")
         uniq, first = np.unique(keys[order], return_index=True)
         for key, idx in zip(uniq.tolist(), np.split(order, first[1:])):
-            active = tuple(i for j, i in enumerate(self.perm) if key >> j & 1)
+            active = tuple(i for i in self.perm if key >> (i - 1) & 1)
             cols = [i - 1 for i in active]
             rows[idx] = self.value(active, dweights[np.ix_(idx, cols)])
 
@@ -666,10 +640,12 @@ _FLAVORS = ("counts", "partition", "runtimes")
 
 
 def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor):
-    """Per-replicate duality values, one row per replicate.
+    """Per-replicate duality values, handed back one block of rows at a
+    time.
 
-    The dual state at time t is drawn exactly, a block of replicates at a
-    time; the partition picture reuses the count draws of its encoding.
+    The start and the line-count growth are checked before this returns;
+    the dual state at time t is drawn exactly when its block is asked for.
+    The partition picture reuses the count draws of its encoding.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -679,21 +655,25 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor):
         counts = encode(start, cfg) if flavor == "partition" else np.asarray(start)
         _check_count_growth(cfg, counts, t)
     f0 = fit_fraction(omega0, cfg.i_star)
-    mixer = _MixtureEvaluator(cfg, omega0, blocks=flavor == "partition")
-    rows = np.empty((replicates, 1 << cfg.n))
-    for b, lo in enumerate(range(0, replicates, BLOCK)):
-        rng = spawn_stream(seed, b)
-        size = min(BLOCK, replicates - lo)
-        if flavor == "runtimes":
-            theta = initiation_block_simulate(cfg, start, t, rng, size)
-            started = ~np.isnan(theta)
-            dweights = 1.0 - logistic_fit_fraction(cfg.s, f0, theta)
-        else:
-            m = ypir_block_simulate(cfg, counts, t, rng, size)
-            started = m > 0
-            dweights = mixer.y ** m
-        mixer.fill(rows[lo : lo + size], started, dweights)
-    return rows
+    mixer = _MixtureEvaluator(cfg, omega0)
+
+    def blocks():
+        for b, lo in enumerate(range(0, replicates, BLOCK)):
+            rng = spawn_stream(seed, b)
+            size = min(BLOCK, replicates - lo)
+            if flavor == "runtimes":
+                theta = initiation_block_simulate(cfg, start, t, rng, size)
+                started = ~np.isnan(theta)
+                dweights = 1.0 - logistic_fit_fraction(cfg.s, f0, theta)
+            else:
+                m = ypir_block_simulate(cfg, counts, t, rng, size)
+                started = m > 0
+                dweights = mixer.y ** m
+            rows = np.empty((size, 1 << cfg.n))
+            mixer.fill(rows, started, dweights)
+            yield rows
+
+    return blocks()
 
 
 def _canonical_start(cfg: SiteConfig, flavor: str):
@@ -723,18 +703,31 @@ class MCEstimate:
         return diff / np.maximum(self.stderr, 1e-13)
 
 
-def _estimate(cfg: SiteConfig, rows: np.ndarray, flavor: str, seed: int) -> MCEstimate:
-    """Mean and standard error over the replicate rows, which are consumed:
-    the squared deviations overwrite them."""
-    replicates = rows.shape[0]
-    mean = rows.sum(axis=0) / replicates
-    rows -= mean
-    var = np.square(rows, out=rows).sum(axis=0) / max(1, replicates - 1)
+def _estimate(cfg: SiteConfig, blocks, flavor: str, seed: int) -> MCEstimate:
+    """Mean and standard error over blocks of replicate rows, which are
+    consumed: the deviations overwrite them.
+
+    Each block is reduced in two passes and merged into the running mean
+    and sum of squared deviations with Chan's pairwise update, so a single
+    block gives exactly the two-pass result.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for rows in blocks:
+        size = rows.shape[0]
+        bmean = rows.sum(axis=0) / size
+        rows -= bmean
+        bm2 = np.square(rows, out=rows).sum(axis=0)
+        # from an empty start the update returns bmean and bm2 bit for bit
+        delta = bmean - mean
+        count += size
+        mean = mean + delta * (size / count)
+        m2 = m2 + bm2 + np.square(delta) * ((count - size) * size / count)
+    var = m2 / max(1, count - 1)
     return MCEstimate(
         mean=Measure(cfg.sites, mean),
-        stderr=np.sqrt(var / replicates),
+        stderr=np.sqrt(var / count),
         flavor=flavor,
-        replicates=replicates,
+        replicates=count,
         seed=seed,
     )
 
@@ -746,21 +739,16 @@ def mc_solution_estimate(
     replicates: int,
     seed: int,
     flavor: str = "counts",
-    threads: int = 1,
 ) -> MCEstimate:
     """Estimate the solution at time t by averaging a duality function over
-    independent dual runs from the single-individual start.
-
-    threads is accepted for compatibility and ignored; the result depends
-    only on the other arguments.
-    """
+    independent dual runs from the single-individual start."""
     if flavor not in _FLAVORS:
         raise ValueError(f"flavor must be one of {_FLAVORS}")
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     start = _canonical_start(cfg, flavor)
-    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
-    return _estimate(cfg, rows, flavor, seed)
+    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
+    return _estimate(cfg, blocks, flavor, seed)
 
 
 @dataclass
@@ -796,15 +784,13 @@ def duality_check(
     t: float,
     replicates: int,
     seed: int,
-    threads: int = 1,
     solver_tol: float = 1e-9,
 ) -> DualityReport:
     """Verify one duality relation by Monte Carlo.
 
     The forward side evaluates the duality function with the fixed start at
     the solution at time t; the dual side averages the function, applied to
-    the time-t dual state, over the initial measure.  threads is accepted
-    for compatibility and ignored.
+    the time-t dual state, over the initial measure.
     """
     if isinstance(start, WeightedPartition):
         flavor = "partition"
@@ -813,7 +799,8 @@ def duality_check(
     else:
         start = _validate_counts(cfg, start)
         flavor = "counts"
-    rows = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
+    # checks the start before the forward solve; draws come when estimated
+    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
     settings = SolverSettings(
         t_max=t, grid_steps=max(16, int(8 * t) + 8), quad_tol=solver_tol
     )
@@ -828,7 +815,7 @@ def duality_check(
         lhs = duality_partition(cfg, start, omega_t)
     else:
         lhs = duality_runtimes(cfg, start, omega_t)
-    est = _estimate(cfg, rows, flavor, seed)
+    est = _estimate(cfg, blocks, flavor, seed)
     z = est.z_scores(lhs)
     return DualityReport(
         flavor=flavor,

@@ -56,7 +56,7 @@ class SolverSettings:
     t_max: float
     grid_steps: int = 512
     ode_step: float | None = None
-    quad_tol: float = 1e-8
+    quad_tol: float = 1e-7
 
     def __post_init__(self):
         if self.t_max < 0:
@@ -419,7 +419,7 @@ def yule_pgf(s: float, t: float, x: float) -> float:
     return sig * x / (1.0 - (1.0 - sig) * x) if x != 1.0 else 1.0
 
 
-def _started_mass_pgf(s, rho, r, t, x, quad_tol):
+def _started_mass_pgf(s, rho, r, t, x, epsabs, epsrel):
     """E[x^N; N >= 1] for the count started at 0: the site fires once at
     rate rho, afterwards the count runs with resets at rate r; only the age
     since the last renewal matters."""
@@ -429,7 +429,7 @@ def _started_mass_pgf(s, rho, r, t, x, quad_tol):
         mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
         return math.exp(-r * u) * yule_pgf(s, u, x) * mix
 
-    val, _ = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    val, _ = quad(integrand, 0.0, t, epsabs=epsabs, epsrel=epsrel, limit=200)
     return val
 
 
@@ -457,7 +457,7 @@ def semigroup_solve(
         r = float(resets[i - 1])
         head, tail = cfg.head_tail(i)
         started = 1.0 - math.exp(-rho * t)
-        gmass = _started_mass_pgf(cfg.s, rho, r, t, x, quad_tol)
+        gmass = _started_mass_pgf(cfg.s, rho, r, t, x, quad_tol, quad_tol)
         mix = d.project(tail).values * gmass + b.project(tail).values * (
             started - gmass
         )

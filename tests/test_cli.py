@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from selrec.cli import main
@@ -242,3 +243,36 @@ def test_numpy_only_commands_never_load_scipy(tmp_path):
     )
     # the control: the closed semigroup form does load the quadrature
     assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+
+
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "selrec.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_dual_memory_bounded_at_twelve_sites(tmp_path):
+    # rows are reduced a block at a time and nothing is cached per started
+    # set: the parent of this design peaked at 1527 MB on such a run
+    from selrec.duals import BLOCK
+
+    rng = np.random.default_rng(12)
+    n, i_star = 12, 7
+    rho = rng.uniform(0.1, 1.0, n)
+    rho[i_star - 1] = 0.0
+    initial = rng.random(2 ** n)
+    cfgp = write_config(
+        tmp_path, n=n, i_star=i_star, rho=rho.tolist(),
+        initial={"vector": (initial / initial.sum()).tolist()}, t_max=1.0,
+        grid_steps=64, quad_tol=1e-5, replicates=2 * BLOCK + 1, dual_flavor="counts",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "dual", "--config", str(cfgp),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0
+    assert peak_kb < 600 * 1024

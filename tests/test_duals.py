@@ -743,15 +743,38 @@ def test_mc_estimate_all_flavors_against_ode():
         assert np.max(np.abs(z)) < 3.0, flavor
 
 
-def test_mc_estimate_thread_count_invariant():
+def _stacked_rows(cfg, nu, start, t, replicates, seed, flavor):
+    return np.concatenate(list(_dual_rows(cfg, nu, start, t, replicates, seed, flavor)))
+
+
+def test_mc_estimate_repeat_runs_identical():
+    # two blocks, so the merge of block moments runs too
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = random_prob((1, 2, 3), spawn_stream(83, 0))
     for flavor in ("counts", "partition", "runtimes"):
         kw = dict(replicates=BLOCK + 5, seed=83, flavor=flavor)
-        one = mc_solution_estimate(cfg, nu, 0.7, threads=1, **kw)
-        four = mc_solution_estimate(cfg, nu, 0.7, threads=4, **kw)
-        assert np.array_equal(one.mean.values, four.mean.values)
-        assert np.array_equal(one.stderr, four.stderr)
+        one = mc_solution_estimate(cfg, nu, 0.7, **kw)
+        two = mc_solution_estimate(cfg, nu, 0.7, **kw)
+        assert np.array_equal(one.mean.values, two.mean.values)
+        assert np.array_equal(one.stderr, two.stderr)
+
+
+def test_streamed_moments_match_two_pass_reduction():
+    # the reference sums are exactly rounded (fsum); any float summation of
+    # n positive terms may be off from them by (n - 1) units of roundoff,
+    # which a wrong merge weight exceeds by orders of magnitude
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = random_prob((1, 2, 3), spawn_stream(359, 0))
+    reps = 2 * BLOCK + 7
+    rtol = reps * np.finfo(float).eps
+    for flavor in ("counts", "partition", "runtimes"):
+        est = mc_solution_estimate(cfg, nu, 0.7, replicates=reps, seed=359, flavor=flavor)
+        rows = _stacked_rows(cfg, nu, _canonical_start(cfg, flavor), 0.7, reps, 359, flavor)
+        mean = np.array([math.fsum(col) / reps for col in rows.T])
+        m2 = np.array([math.fsum(np.square(col - mu)) for col, mu in zip(rows.T, mean)])
+        assert est.replicates == reps
+        assert np.allclose(est.mean.values, mean, rtol=rtol, atol=0.0), flavor
+        assert np.allclose(est.stderr, np.sqrt(m2 / (reps - 1) / reps), rtol=rtol, atol=0.0), flavor
 
 
 def test_dual_rows_extend_block_by_block():
@@ -760,21 +783,32 @@ def test_dual_rows_extend_block_by_block():
     nu = random_prob((1, 2, 3), spawn_stream(349, 0))
     for flavor in ("counts", "partition", "runtimes"):
         start = _canonical_start(cfg, flavor)
-        full = _dual_rows(cfg, nu, start, 0.7, BLOCK, 349, flavor)
-        more = _dual_rows(cfg, nu, start, 0.7, BLOCK + 1, 349, flavor)
+        full = _stacked_rows(cfg, nu, start, 0.7, BLOCK, 349, flavor)
+        more = _stacked_rows(cfg, nu, start, 0.7, BLOCK + 1, 349, flavor)
         assert np.array_equal(full, more[:BLOCK])
 
 
 def test_dual_rows_match_per_state_duality_functions():
-    # the grouped evaluation reproduces the duality functions state by state
-    cfg = SiteConfig(n=4, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5, 0.3))
+    # the grouped evaluation reproduces the duality functions state by
+    # state: selected site inside, first and last, a zero-rate site, n = 6
+    for cfg in (
+        SiteConfig(n=4, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5, 0.3)),
+        SiteConfig(n=4, i_star=1, s=0.8, rho=(0.0, 0.9, 0.5, 0.3)),
+        SiteConfig(n=5, i_star=5, s=0.8, rho=(0.4, 0.7, 0.5, 0.3, 0.0)),
+        SiteConfig(n=5, i_star=3, s=0.8, rho=(0.6, 0.0, 0.0, 0.8, 0.5)),
+        SiteConfig(n=6, i_star=4, s=1.1, rho=(0.5, 0.3, 0.8, 0.0, 0.6, 0.4)),
+    ):
+        _check_rows_against_duality_functions(cfg)
+
+
+def _check_rows_against_duality_functions(cfg):
     nu = random_prob(cfg.sites, spawn_stream(353, 0))
     t, reps = 0.9, 300
     m = ypir_block_simulate(cfg, _canonical_start(cfg, "counts"), t, spawn_stream(353, 0), reps)
     theta = initiation_block_simulate(
         cfg, InitiationState.initial(cfg), t, spawn_stream(353, 0), reps
     )
-    rows = {f: _dual_rows(cfg, nu, _canonical_start(cfg, f), t, reps, 353, f)
+    rows = {f: _stacked_rows(cfg, nu, _canonical_start(cfg, f), t, reps, 353, f)
             for f in ("counts", "partition", "runtimes")}
     for r in range(reps):
         states = {
@@ -784,7 +818,7 @@ def test_dual_rows_match_per_state_duality_functions():
                 DELTA if np.isnan(v) else v for v in theta[r])), nu),
         }
         for f, ref in states.items():
-            assert np.allclose(rows[f][r], ref.values, rtol=0.0, atol=1e-13), (f, r)
+            assert np.allclose(rows[f][r], ref.values, rtol=0.0, atol=1e-13), (cfg, f, r)
 
 
 # -- duality checks against the forward flow -----------------------------------------

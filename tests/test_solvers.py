@@ -263,6 +263,15 @@ def test_recursion_permutation_invariant():
     assert l1_distance(sol1, sol3) < 1e-8
 
 
+def test_default_settings_pass_the_recursion_grid_check():
+    # the default quad_tol is one the half-step check at the default 512
+    # steps can meet (about 1.5e-7 here); 1e-8 raised GridTooCoarseError
+    cfg = SiteConfig(n=2, i_star=1, s=0.8, rho=(0.0, 0.6))
+    nu = product_measure(cfg.sites, [0.5, 0.7])
+    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0))
+    assert fam.final_probability().sites == cfg.sites
+
+
 def test_recursion_rejects_invalid_permutation():
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.5, 0.0, 0.5))
     nu = uniform(cfg.sites)
