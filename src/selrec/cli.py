@@ -104,11 +104,6 @@ def cmd_solve(args) -> int:
     wanted = ("ode", "recursion", "semigroup") if method == "all" else (method,)
     times = exp.output_times or _comparison_times(exp.settings)
     for name in wanted:
-        if name == "semigroup":
-            # load quad before the clock starts: runtimes_seconds books solver
-            # time only. Loading it after the ODE and the recursion keeps
-            # scipy's memory off their peak.
-            import scipy.integrate  # noqa: F401
         tic = time.perf_counter()
         if name == "ode":
             traj = integrate_ode(exp.cfg, exp.omega0, exp.settings)
@@ -117,7 +112,7 @@ def cmd_solve(args) -> int:
             traj = recursive_solve(exp.cfg, exp.omega0, exp.settings).solution
         else:
             vals = [
-                semigroup_solve(exp.cfg, exp.omega0, t, exp.settings.quad_tol).values
+                semigroup_solve(exp.cfg, exp.omega0, t).values
                 for t in times
             ]
             traj = Trajectory(np.asarray(times), exp.cfg.sites, np.vstack(vals))
@@ -307,7 +302,7 @@ def _check_solver_agreement(
     t = exp.settings.t_max
     ode = ode_traj.final()
     rec = family.solution.final()
-    semi = semigroup_solve(exp.cfg, exp.omega0, t, exp.settings.quad_tol)
+    semi = semigroup_solve(exp.cfg, exp.omega0, t)
     pair = {
         "ode_recursion": l1_distance(ode, rec),
         "ode_semigroup": l1_distance(ode, semi),
@@ -381,44 +376,26 @@ def _check_selection_duality(exp: ExperimentConfig) -> dict:
     }
 
 
-def _check_duality_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
-    out = []
+def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
+    """Duality checks of the three flavors, then solution estimates of the
+    three flavors, each against the closed form at the same time."""
     t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
     reps = min(replicates, 50_000)
-    for flavor in ("counts", "partition", "runtimes"):
+    flavors = ("counts", "partition", "runtimes")
+    z = {}
+    for flavor in flavors:
         start = _canonical_start(exp.cfg, flavor)
-        rep = duality_check(
-            exp.cfg, exp.omega0, start, t, reps, seed + 7
-        )
-        out.append({
-            "name": f"duality_mc_{flavor}",
-            "passed": bool(rep.max_abs_z <= exp.z_threshold),
-            "max_abs_z": float(rep.max_abs_z),
-            "replicates": reps,
-            "tolerance": exp.z_threshold,
-        })
-    return out
-
-
-def _check_solution_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
-    out = []
-    t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
-    reps = min(replicates, 50_000)
-    settings = SolverSettings(t_max=t, grid_steps=64, quad_tol=1e-9)
-    reference = integrate_ode(exp.cfg, exp.omega0, settings).final_probability()
-    for flavor in ("counts", "partition", "runtimes"):
-        est = mc_solution_estimate(
-            exp.cfg, exp.omega0, t, reps, seed + 13, flavor=flavor
-        )
-        z = float(np.max(np.abs(est.z_scores(reference))))
-        out.append({
-            "name": f"solution_mc_{flavor}",
-            "passed": bool(z <= exp.z_threshold),
-            "max_abs_z": z,
-            "replicates": reps,
-            "tolerance": exp.z_threshold,
-        })
-    return out
+        rep = duality_check(exp.cfg, exp.omega0, start, t, reps, seed + 7)
+        z[f"duality_mc_{flavor}"] = float(rep.max_abs_z)
+    reference = semigroup_solve(exp.cfg, exp.omega0, t)
+    for flavor in flavors:
+        est = mc_solution_estimate(exp.cfg, exp.omega0, t, reps, seed + 13, flavor=flavor)
+        z[f"solution_mc_{flavor}"] = float(np.max(np.abs(est.z_scores(reference))))
+    return [
+        {"name": name, "passed": bool(v <= exp.z_threshold), "max_abs_z": v,
+         "replicates": reps, "tolerance": exp.z_threshold}
+        for name, v in z.items()
+    ]
 
 
 def _check_marginals(exp: ExperimentConfig, full: Trajectory) -> dict:
@@ -468,8 +445,7 @@ def cmd_verify(args) -> int:
         _check_product_algebra(exp, seed),
         _check_ld_identity(family),
         _check_selection_duality(exp),
-        *_check_duality_mc(exp, seed, replicates),
-        *_check_solution_mc(exp, seed, replicates),
+        *_check_mc(exp, seed, replicates),
         _check_marginals(exp, ode),
         _check_encoding(exp, seed),
     ]

@@ -34,11 +34,13 @@ from .partitions import WeightedPartition, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
-    SolverSettings,
+    _integral,
+    _renewal_density,
     _started_mass_pgf,
-    integrate_ode,
+    _yule_pgf_nodes,
     logistic_fit_fraction,
     selection_flow,
+    semigroup_solve,
     yule_pgf,
 )
 
@@ -151,17 +153,6 @@ def ypir_block_simulate(cfg: SiteConfig, m0, t: float, rng, size: int) -> np.nda
     return out
 
 
-def _geom_pmf(sigma: float, n: int) -> float:
-    """Trials up to the first success."""
-    if n < 1:
-        return 0.0
-    if sigma >= 1.0:
-        return 1.0 if n == 1 else 0.0
-    if sigma <= 0.0:
-        return 0.0
-    return sigma * math.exp((n - 1) * math.log1p(-sigma))
-
-
 def _negbin_pmf(m: int, sigma: float, n: int) -> float:
     """Trials up to the m-th success."""
     if n < m:
@@ -217,7 +208,28 @@ class IntDistribution:
         return cls(p)
 
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
+_COUNT_BATCH = 64
+
+
+def _renewed_masses(s: float, rho: float, r: float, t: float, idle: bool):
+    """Yield, for n = 1, 2, ..., the chance that one site's count renewed by
+    time t and has since grown to n: the integral over the renewal age u of
+    its density times sigma * (1 - sigma)^(n - 1), sigma = exp(-s*u).  An
+    idle count starts at rate rho; after that, or when running from time 0,
+    it resets at rate r.  Counts come in batches; within one the geometric
+    factor is carried on the node vector from each count to the next."""
+    n = 1
+    while True:
+        def batch(u, n=n):
+            density = _renewal_density(rho, r, t, u) if idle else r * np.exp(-r * u)
+            q = -np.expm1(-s * u)
+            geo = np.empty((_COUNT_BATCH, u.size))
+            geo[0] = density * np.exp(-s * u) * q ** (n - 1)
+            geo[1:] = q
+            return np.cumprod(geo, axis=0, out=geo)
+
+        yield from _integral(batch, t, max(s, rho, r)).tolist()
+        n += _COUNT_BATCH
 
 
 def ypir_semigroup(
@@ -235,8 +247,6 @@ def ypir_semigroup(
     start, after a renewal of age u it is geometric with parameter
     exp(-s*u).  Truncated once the accounted mass reaches 1 - tail_tol.
     """
-    from scipy.integrate import quad
-
     if m0 < 0:
         raise ValueError("count must be >= 0")
     if t < 0:
@@ -245,31 +255,16 @@ def ypir_semigroup(
         return IntDistribution.point_mass(m0)
     s, rho, r = _site_rates(cfg, i)
     sigma_t = math.exp(-s * t)
+    renewed = _renewed_masses(s, rho, r, t, idle=m0 == 0)
     probs = [math.exp(-rho * t) if m0 == 0 else 0.0]
     cum = probs[0]
     small = 0
     n = 0
     while n < n_max:
         n += 1
-        if m0 == 0:
-            if rho == 0.0:
-                p = 0.0
-            else:
-                def f0(u, n=n):
-                    g = _geom_pmf(math.exp(-s * u), n)
-                    mix = rho * math.exp(-rho * (t - u)) + r * (
-                        1.0 - math.exp(-rho * (t - u))
-                    )
-                    return math.exp(-r * u) * g * mix
-
-                p = quad(f0, 0.0, t, **_QUAD_OPTS)[0]
-        else:
-            p = math.exp(-r * t) * _negbin_pmf(m0, sigma_t, n)
-            if r > 0.0:
-                def f1(u, n=n):
-                    return r * math.exp(-r * u) * _geom_pmf(math.exp(-s * u), n)
-
-                p += quad(f1, 0.0, t, **_QUAD_OPTS)[0]
+        p = next(renewed)
+        if m0 > 0:
+            p += math.exp(-r * t) * _negbin_pmf(m0, sigma_t, n)
         probs.append(p)
         cum += p
         if 1.0 - cum < tail_tol:
@@ -282,24 +277,15 @@ def ypir_semigroup(
 
 def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     """E[x^(count at t)] started from m0, for x in [0, 1]."""
-    from scipy.integrate import quad
-
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     s, rho, r = _site_rates(cfg, i)
-    if t == 0.0:
-        return x ** m0
-
     if m0 == 0:
-        if rho == 0.0:
-            return 1.0
-        return math.exp(-rho * t) + _started_mass_pgf(
-            s, rho, r, t, x, _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"]
-        )
-    out = math.exp(-r * t) * yule_pgf(s, t, x) ** m0
-    if r > 0.0:
-        out += quad(lambda u: r * math.exp(-r * u) * yule_pgf(s, u, x), 0.0, t, **_QUAD_OPTS)[0]
-    return out
+        return math.exp(-rho * t) + _started_mass_pgf(s, rho, r, t, x)
+    renewed = _integral(
+        lambda u: r * np.exp(-r * u) * _yule_pgf_nodes(s, u, x), t, max(s, rho, r)
+    )
+    return math.exp(-r * t) * yule_pgf(s, t, x) ** m0 + float(renewed)
 
 
 def ypir_stationary(
@@ -784,7 +770,6 @@ def duality_check(
     t: float,
     replicates: int,
     seed: int,
-    solver_tol: float = 1e-9,
 ) -> DualityReport:
     """Verify one duality relation by Monte Carlo.
 
@@ -801,14 +786,7 @@ def duality_check(
         flavor = "counts"
     # checks the start before the forward solve; draws come when estimated
     blocks = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
-    settings = SolverSettings(
-        t_max=t, grid_steps=max(16, int(8 * t) + 8), quad_tol=solver_tol
-    )
-    omega_t = (
-        integrate_ode(cfg, omega0, settings).final_probability()
-        if t > 0
-        else ProbabilityMeasure(omega0.sites, omega0.values)
-    )
+    omega_t = semigroup_solve(cfg, omega0, t)
     if flavor == "counts":
         lhs = duality_counts(cfg, start, omega_t)
     elif flavor == "partition":

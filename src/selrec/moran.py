@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import ProbabilityMeasure, l1_distance
 from .sites import SiteConfig
-from .solvers import SolverSettings, integrate_ode
+from .solvers import semigroup_solve
 from .rng import spawn_stream
 
 _EVENT_CHUNK = 1 << 16
@@ -199,7 +199,6 @@ def lln_convergence(
     population_sizes,
     replicates: int,
     seed: int,
-    solver_tol: float = 1e-9,
 ) -> LLNReport:
     """Mean l1 distance between the empirical measure at time t and the
     deterministic solution, per population size, with a fitted log-log
@@ -209,10 +208,7 @@ def lln_convergence(
     sizes = [int(N) for N in population_sizes]
     if any(N < 1 for N in sizes):
         raise ValueError("population sizes must be >= 1")
-    settings = SolverSettings(
-        t_max=t, grid_steps=max(16, int(8 * t) + 8), quad_tol=solver_tol
-    )
-    target = integrate_ode(cfg, omega0, settings).final_probability()
+    target = semigroup_solve(cfg, omega0, t)
     dist = np.empty((len(sizes), replicates))
     events = [0] * len(sizes)
     for a, N in enumerate(sizes):

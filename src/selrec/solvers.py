@@ -12,6 +12,7 @@ All of them work on dense measure vectors as defined in ``measure``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -341,7 +342,8 @@ def recursive_solve(
 
 def _cumulative_trapezoid(y, times):
     """Trapezoid integrals of the rows of y from times[0] to each time, in
-    the order of operations of scipy's cumulative_trapezoid (same bits)."""
+    the order of operations of the SciPy routine cumulative_trapezoid, to
+    the bit (tests/test_solvers.py compares the two)."""
     out = np.zeros_like(y)
     np.cumsum(np.diff(times)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
     return out
@@ -419,23 +421,78 @@ def yule_pgf(s: float, t: float, x: float) -> float:
     return sig * x / (1.0 - (1.0 - sig) * x) if x != 1.0 else 1.0
 
 
-def _started_mass_pgf(s, rho, r, t, x, epsabs, epsrel):
+# Composite Gauss-Legendre rule: _GL_ORDER nodes per panel, and node arrays
+# of at most _CHUNK_PANELS panels, so memory stays bounded for any t.
+_GL_ORDER = 32
+_CHUNK_PANELS = 256
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_ORDER-point Gauss-Legendre rule on
+    [-1, 1]: the roots of the Legendre polynomial P_n by Newton's method
+    from Tricomi's estimates, with P_n and P_n' from the three-term
+    recurrence, and weights 2 / ((1 - x^2) P_n'(x)^2).  Elementwise numpy:
+    a LAPACK eigensolver (Golub-Welsch) would add about 1 MB of resident
+    buffers to every run that reaches a closed form."""
+    n = _GL_ORDER
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
+
+
+def _integral(f, t: float, rate: float):
+    """Integral of f over [0, t] on the composite rule.  f maps a node array
+    to values along its last axis; leading axes give one integral each.  A
+    panel spans at most 8 / rate, in which the fastest exponential of the
+    integrand falls by at most e^8."""
+    x, w = _gauss_legendre()
+    panels = max(1, math.ceil(t * rate / 8.0))
+    h = t / panels
+    total = 0.0
+    for first in range(0, panels, _CHUNK_PANELS):
+        left = h * np.arange(first, min(panels, first + _CHUNK_PANELS))
+        u = (left[:, None] + 0.5 * h * (x + 1.0)).ravel()
+        # an elementwise sum, not a BLAS dot: its bits must not depend on the
+        # BLAS thread count
+        total = total + (np.tile(0.5 * h * w, left.size) * f(u)).sum(axis=-1)
+    return total
+
+
+def _renewal_density(rho: float, r: float, t: float, u: np.ndarray) -> np.ndarray:
+    """Density of the age u of the last renewal at time t of a count started
+    at 0: it starts at rate rho and afterwards resets at rate r."""
+    return np.exp(-r * u) * (
+        rho * np.exp(-rho * (t - u)) - r * np.expm1(-rho * (t - u))
+    )
+
+
+def _yule_pgf_nodes(s: float, u: np.ndarray, x: float) -> np.ndarray:
+    """yule_pgf at an array of times, with numpy's exp (math.exp's bits
+    differ in the last place, and yule_pgf keeps them)."""
+    sig = np.exp(-np.minimum(s * u, 500.0))
+    return sig * x / (1.0 - x + sig * x)
+
+
+def _started_mass_pgf(s, rho, r, t, x):
     """E[x^N; N >= 1] for the count started at 0: the site fires once at
     rate rho, afterwards the count runs with resets at rate r; only the age
     since the last renewal matters."""
-    from scipy.integrate import quad
-
-    def integrand(u):
-        mix = rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
-        return math.exp(-r * u) * yule_pgf(s, u, x) * mix
-
-    val, _ = quad(integrand, 0.0, t, epsabs=epsabs, epsrel=epsrel, limit=200)
-    return val
+    return float(_integral(
+        lambda u: _renewal_density(rho, r, t, u) * _yule_pgf_nodes(s, u, x),
+        t, max(s, rho, r),
+    ))
 
 
-def semigroup_solve(
-    cfg: SiteConfig, omega0: Measure, t: float, quad_tol: float = 1e-10
-) -> ProbabilityMeasure:
+def semigroup_solve(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMeasure:
     """Assemble the solution directly from per-site renewal laws; with
     s = 0 every count stays at its start and the same formula applies."""
     if omega0.sites != cfg.sites:
@@ -457,7 +514,7 @@ def semigroup_solve(
         r = float(resets[i - 1])
         head, tail = cfg.head_tail(i)
         started = 1.0 - math.exp(-rho * t)
-        gmass = _started_mass_pgf(cfg.s, rho, r, t, x, quad_tol, quad_tol)
+        gmass = _started_mass_pgf(cfg.s, rho, r, t, x)
         mix = d.project(tail).values * gmass + b.project(tail).values * (
             started - gmass
         )

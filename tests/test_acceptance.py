@@ -73,7 +73,7 @@ def test_criterion_01_solver_triple_agreement():
             cfg, omega0,
             SolverSettings(t_max=t, grid_steps=int(4000 * max(1.0, t)), quad_tol=1e-6),
         ).final_probability()
-        semi = semigroup_solve(cfg, omega0, t, quad_tol=1e-10)
+        semi = semigroup_solve(cfg, omega0, t)
         worst = max(
             worst,
             l1_distance(ode, rec),

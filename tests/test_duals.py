@@ -46,7 +46,7 @@ from selrec import (
     ypir_vector_simulate,
 )
 from selrec.duals import BLOCK, _canonical_start, _dual_rows
-from selrec.solvers import SolverSettings
+from selrec.solvers import SolverSettings, _gauss_legendre, _started_mass_pgf
 
 
 def random_prob(sites, rng):
@@ -260,6 +260,70 @@ def test_pgf_pure_growth_is_moebius_map():
     assert abs(ypir_pgf(cfg, 1, 3, t, y) - g ** 3) < 1e-12
     with pytest.raises(ValueError):
         ypir_pgf(cfg, 1, 1, t, 1.5)
+
+
+def test_gauss_legendre_closed_forms_match_quad():
+    # scipy's adaptive quad is the reference for the panel rule; the fixed
+    # draw has r*t ~ 900, where one 64-node panel on [0, t] is off by ~1e-7
+    from numpy.polynomial.legendre import leggauss
+    from scipy.integrate import quad
+
+    nodes, weights = _gauss_legendre()
+    ref_nodes, ref_weights = leggauss(nodes.size)
+    assert np.abs(nodes - ref_nodes).max() < 1e-15
+    assert np.abs(weights - ref_weights).max() < 1e-15
+
+    def integral(f, t):
+        return quad(f, 0.0, t, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+
+    rng = np.random.default_rng(2718)
+    draws = [(3.0, 0.25, 18.0, 50.0, 0.35)]
+    for t_hi in (2.0, 20.0, 100.0, 400.0) * 3:
+        rho = rng.uniform(0.0, 1.0)
+        draws.append((rng.uniform(0.0, 5.0), rho, rng.uniform(rho, 20.0),
+                      rng.uniform(0.0, t_hi), rng.uniform(0.0, 1.0)))
+    for draw, (s, rho, r, t, x) in enumerate(draws):
+        # site 3 initiates at rho and resets at rho + (r - rho)
+        cfg = SiteConfig(n=3, i_star=1, s=s, rho=(0.0, r - rho, rho))
+
+        def age(u):
+            return math.exp(-r * u) * (
+                rho * math.exp(-rho * (t - u)) + r * (1.0 - math.exp(-rho * (t - u)))
+            )
+
+        def yule(u):
+            sig = math.exp(-s * u)
+            return sig * x / (1.0 - (1.0 - sig) * x)
+
+        def geom(u, n):
+            sig = math.exp(-s * u)
+            return sig * (1.0 - sig) ** (n - 1)
+
+        started = integral(lambda u: age(u) * yule(u), t)
+        if draw == 0:
+            gx, gw = leggauss(64)
+            one_panel = sum(0.5 * t * wk * age(uk) * yule(uk)
+                            for uk, wk in zip(0.5 * t * (gx + 1.0), gw))
+            assert abs(one_panel - started) > 1e-10
+        assert abs(_started_mass_pgf(s, rho, r, t, x) - started) < 1e-13
+        assert abs(ypir_pgf(cfg, 3, 0, t, x) - (math.exp(-rho * t) + started)) < 1e-13
+        renewed = integral(lambda u: r * math.exp(-r * u) * yule(u), t)
+        for m0 in (1, 3):
+            held = math.exp(-r * t) * yule(t) ** m0
+            assert abs(ypir_pgf(cfg, 3, m0, t, x) - (held + renewed)) < 1e-13
+
+        sig_t = math.exp(-s * t)
+        for m0 in (0, 2):
+            law = ypir_semigroup(cfg, 3, m0, t, n_max=12)
+            for n in range(1, law.probs.size):
+                if m0 == 0:
+                    ref = integral(lambda u: age(u) * geom(u, n), t)
+                else:
+                    ref = integral(lambda u: r * math.exp(-r * u) * geom(u, n), t)
+                    if n >= m0:
+                        ref += (math.exp(-r * t) * math.comb(n - 1, m0 - 1)
+                                * sig_t ** m0 * (1.0 - sig_t) ** (n - m0))
+                assert abs(law.probs[n] - ref) < 1e-13, (draw, m0, n)
 
 
 def _chisq_pvalue(dist, sample, runs):
