@@ -277,6 +277,10 @@ def ypir_semigroup(
 
 def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     """E[x^(count at t)] started from m0, for x in [0, 1]."""
+    if m0 < 0:
+        raise ValueError("count must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     s, rho, r = _site_rates(cfg, i)
@@ -496,15 +500,6 @@ def _validate_counts(cfg: SiteConfig, m) -> np.ndarray:
     return m
 
 
-def _resolve_order(cfg: SiteConfig, order) -> tuple[int, ...]:
-    if order is None:
-        return cfg.canonical_permutation()
-    order = tuple(order)
-    if not cfg.is_valid_ordering(order):
-        raise ValueError(f"{order} is not ordered outward from the selected site")
-    return order
-
-
 def duality_counts(
     cfg: SiteConfig, m, nu: Measure, order: Sequence[int] | None = None
 ) -> ProbabilityMeasure:
@@ -515,7 +510,7 @@ def duality_counts(
     value does not depend on which compatible order is used.
     """
     m = _validate_counts(cfg, m)
-    order = _resolve_order(cfg, order)
+    order = cfg.ordering(order)
     if nu.sites != cfg.sites:
         raise ValueError("nu must live on the full site set")
     acc = None
@@ -549,7 +544,7 @@ def duality_runtimes(
     theta.require_selected_real(cfg)
     if nu.sites != cfg.sites:
         raise ValueError("nu must live on the full site set")
-    order = _resolve_order(cfg, order)
+    order = cfg.ordering(order)
     acc = None
     for i in order:
         e = theta.entries[i - 1]

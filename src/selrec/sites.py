@@ -118,6 +118,16 @@ class SiteConfig:
         """
         return tuple(sorted(self.sites, key=lambda i: (abs(i - self.i_star), i)))
 
+    def ordering(self, order=None) -> tuple[int, ...]:
+        """The canonical permutation, or order itself once it is checked to
+        be compatible with the partial order."""
+        if order is None:
+            return self.canonical_permutation()
+        order = tuple(order)
+        if not self.is_valid_ordering(order):
+            raise ValueError(f"{order} is not ordered outward from the selected site")
+        return order
+
     def is_valid_ordering(self, perm: tuple[int, ...]) -> bool:
         """Check that perm lists all sites and never places a site before
         one it succeeds in the partial order."""
@@ -147,29 +157,40 @@ class SiteConfig:
 
     def marginal_rates(self, subset) -> dict[int, float]:
         """Effective crossover rates for the dynamics restricted to a subset
-        of sites.
+        of sites that holds the selected site.
 
         Crossover sites of the full system that cut the subset in the same
-        place pool their rates.  Keys are the crossover sites inside the
-        subset; the selected site never appears as a key.
+        place pool their rates: a subset site pools every site from itself
+        up to, not including, its neighbour in the subset towards the
+        selected site.  Keys are the crossover sites inside the subset, in
+        ascending order; the selected site never appears as a key.
         """
-        A = frozenset(subset)
+        A = sorted(set(subset))
+        if self.i_star not in A:
+            raise ValueError(
+                "the marginal dynamics is closed only for subsets containing "
+                f"the selected site {self.i_star}"
+            )
         for a in A:
             self._check_site(a)
-        out: dict[int, float] = {}
-        for i in sorted(A):
-            if i == self.i_star:
-                continue
-            cut_i = self._induced_cut(i, A)
-            total = 0.0
-            for j in self.crossover_sites:
-                if self._induced_cut(j, A) == cut_i:
-                    total += self.rho[j - 1]
-            out[i] = total
-        return out
+        k = A.index(self.i_star)
+        left = {a: sum(self.rho[a - 1 : b - 1]) for a, b in zip(A[:k], A[1:])}
+        right = {b: sum(self.rho[a:b]) for a, b in zip(A[k:], A[k + 1 :])}
+        return {**left, **right}
 
-    def _induced_cut(self, j: int, A: frozenset[int]) -> frozenset[frozenset[int]]:
-        head, tail = self.head_tail(j)
-        parts = {frozenset(head & A), frozenset(tail & A)}
-        parts.discard(frozenset())
-        return frozenset(parts)
+    def marginal(self, subset) -> "SiteConfig":
+        """The model whose dynamics the marginal on subset follows, with the
+        subset's sites relabelled 1..|subset| in ascending order.
+
+        A measure over the subset and one over the relabelled sites share
+        their value vector, since both put the j-th smallest site in bit
+        j - 1 of the flat index.
+        """
+        rates = self.marginal_rates(subset)
+        A = sorted(set(subset))
+        return SiteConfig(
+            n=len(A),
+            i_star=A.index(self.i_star) + 1,
+            s=self.s,
+            rho=tuple(rates.get(a, 0.0) for a in A),
+        )

@@ -126,25 +126,15 @@ class Trajectory:
 
 # -- right-hand side --------------------------------------------------------
 
-def make_rhs(
-    sites: Sequence[int],
-    i_star: int,
-    s: float,
-    splits: Iterable[tuple[float, frozenset[int], frozenset[int]]],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Vector field of the dynamics on the given sites.
-
-    splits lists (rate, head, tail) partitions into two contiguous runs of
-    sites, as every crossover cut is; entries with zero rate may be omitted
-    by the caller.  The returned function maps a raw value vector to its
-    time derivative.
-    """
-    sites = tuple(sorted(sites))
-    fmask = fit_mask(sites, i_star).astype(float)
+def make_rhs(cfg: SiteConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Vector field of the dynamics of cfg: the returned function maps a
+    raw value vector to its time derivative."""
+    s = cfg.s
+    fmask = fit_mask(cfg.sites, cfg.i_star).astype(float)
     terms = [
-        (float(rate), Split(sites, head, tail))
-        for rate, head, tail in splits
-        if rate != 0.0
+        (cfg.rho_of(i), Split(cfg.sites, *cfg.head_tail(i)))
+        for i in cfg.crossover_sites
+        if cfg.rho_of(i) != 0.0
     ]
 
     def rhs(v: np.ndarray) -> np.ndarray:
@@ -162,22 +152,11 @@ def make_rhs(
     return rhs
 
 
-def _cfg_splits(cfg: SiteConfig) -> list[tuple[float, frozenset[int], frozenset[int]]]:
-    out = []
-    for i in cfg.crossover_sites:
-        rate = cfg.rho_of(i)
-        if rate > 0.0:
-            head, tail = cfg.head_tail(i)
-            out.append((rate, head, tail))
-    return out
-
-
 def sre_rhs(cfg: SiteConfig, nu: Measure) -> Measure:
     """Time derivative of the dynamics at nu (a signed measure of mass 0)."""
     if nu.sites != cfg.sites:
         raise ValueError("measure must live on the full site set")
-    rhs = make_rhs(cfg.sites, cfg.i_star, cfg.s, _cfg_splits(cfg))
-    return Measure(nu.sites, rhs(nu.values))
+    return Measure(nu.sites, make_rhs(cfg)(nu.values))
 
 
 # -- selection-only flow ------------------------------------------------------
@@ -232,28 +211,20 @@ def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
     return out, drift
 
 
-def integrate_ode(
-    cfg: SiteConfig,
-    omega0: Measure,
-    settings: SolverSettings,
-    rhs: Callable[[np.ndarray], np.ndarray] | None = None,
-    sites: Sequence[int] | None = None,
-) -> Trajectory:
+def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) -> Trajectory:
     """Classic fourth-order integration with step halving.
 
     The step is halved until two successive refinements agree at t_max to
     within quad_tol in l1; the mass is renormalised after every step and
     the largest drift is recorded on the trajectory.
     """
-    sites = tuple(sorted(sites)) if sites is not None else cfg.sites
-    if omega0.sites != sites:
-        raise ValueError("initial measure does not match the requested sites")
-    if rhs is None:
-        rhs = make_rhs(cfg.sites, cfg.i_star, cfg.s, _cfg_splits(cfg))
+    if omega0.sites != cfg.sites:
+        raise ValueError("initial measure must live on the full site set")
+    rhs = make_rhs(cfg)
     grid = settings.grid()
     if settings.t_max == 0.0:
         vals = np.tile(omega0.values, (grid.size, 1))
-        return Trajectory(grid, sites, vals)
+        return Trajectory(grid, cfg.sites, vals)
     cell = settings.t_max / settings.grid_steps
     step = settings.ode_step if settings.ode_step is not None else cell
     substeps = max(1, math.ceil(cell / step))
@@ -263,7 +234,7 @@ def integrate_ode(
         if prev_final is not None:
             diff = float(np.abs(out[-1] - prev_final).sum())
             if diff < settings.quad_tol:
-                return Trajectory(grid, sites, out, drift)
+                return Trajectory(grid, cfg.sites, out, drift)
         prev_final = out[-1]
         substeps *= 2
     raise SolverError(
@@ -304,27 +275,21 @@ def recursive_solve(
     omega0: Measure,
     settings: SolverSettings,
     permutation: Sequence[int] | None = None,
-    check_grid: bool = True,
 ) -> TruncatedFamily:
     """Solve by adding one crossover site per level.
 
     Each level couples the previous one through a single exponentially
     weighted time integral, evaluated by trapezoidal prefix sums on the
-    grid.  With check_grid, the endpoint is compared against a run on the
+    grid.  For t_max > 0 the endpoint is compared against a run on the
     half-step grid and a mismatch beyond 10x quad_tol raises
     GridTooCoarseError.
     """
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
-    if permutation is None:
-        permutation = cfg.canonical_permutation()
-    else:
-        permutation = tuple(permutation)
-        if not cfg.is_valid_ordering(permutation):
-            raise ValueError(f"{permutation} is not ordered outward from the selected site")
+    permutation = cfg.ordering(permutation)
     levels = _recursion_levels(cfg, omega0, settings.grid(), permutation)
     fam = TruncatedFamily(cfg, permutation, settings.grid(), levels)
-    if check_grid and settings.t_max > 0.0:
+    if settings.t_max > 0.0:
         coarse = SolverSettings(
             t_max=settings.t_max,
             grid_steps=max(2, settings.grid_steps // 2),
@@ -597,28 +562,18 @@ def marginal_sre_solve(
 ) -> Trajectory:
     """Integrate the dynamics of the marginal on a subset of sites.
 
-    The subset must contain the selected site; crossover sites that cut the
-    subset in the same place pool their rates.  The result matches the
-    projection of the full solution onto the subset.
+    The subset must contain the selected site; the marginal then follows
+    the model cfg.marginal(subset), whose crossover sites pool the rates of
+    the sites that cut the subset in the same place.  The result matches
+    the projection of the full solution onto the subset.
     """
     A = tuple(sorted(set(subset)))
-    if cfg.i_star not in A:
-        raise ValueError(
-            "the marginal dynamics is closed only for subsets containing "
-            f"the selected site {cfg.i_star}"
-        )
-    for a in A:
-        cfg._check_site(a)
+    model = cfg.marginal(A)
     if omega0.sites == cfg.sites:
         start = omega0.project(A)
     elif omega0.sites == A:
         start = omega0
     else:
         raise ValueError("initial measure must live on the full site set or on the subset")
-    splits = []
-    for i, rate in cfg.marginal_rates(A).items():
-        if rate > 0.0:
-            head, tail = cfg.head_tail(i)
-            splits.append((rate, frozenset(head) & set(A), frozenset(tail) & set(A)))
-    rhs = make_rhs(A, cfg.i_star, cfg.s, splits)
-    return integrate_ode(cfg, start, settings, rhs=rhs, sites=A)
+    traj = integrate_ode(model, Measure(model.sites, start.values), settings)
+    return Trajectory(traj.times, A, traj.values, traj.mass_drift)

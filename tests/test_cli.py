@@ -135,6 +135,32 @@ def test_verify_honours_replicates_flag(tmp_path):
     assert all(c["replicates"] == 700 for c in mc)
 
 
+def test_verify_solves_one_ode(tmp_path, monkeypatch):
+    # the marginal check solves each subset in closed form and compares it
+    # with the projection of the one shared ODE solution
+    import selrec.cli
+    import selrec.solvers
+
+    real = selrec.solvers.integrate_ode
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selrec.solvers, "integrate_ode", counted)
+    monkeypatch.setattr(selrec.cli, "integrate_ode", counted)
+    cfgp = write_config(
+        tmp_path, n=4, i_star=2, rho=[0.5, 0.0, 0.7, 0.3],
+        initial={"vector": [(k + 1) / 136 for k in range(16)]}, replicates=500,
+    )
+    assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+    assert calls == [4]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["marginal_consistency"]["passed"]
+
+
 def test_dual_refuses_overflowing_line_counts(tmp_path, capsys):
     # s*t = 32 would push the sampled line counts towards 2^63
     cfgp = write_config(tmp_path, s=4.0, t_max=8.0)

@@ -262,6 +262,14 @@ def test_pgf_pure_growth_is_moebius_map():
         ypir_pgf(cfg, 1, 1, t, 1.5)
 
 
+def test_pgf_refuses_negative_time_and_count():
+    cfg = SiteConfig(n=2, i_star=1, s=0.8, rho=(0.0, 0.6))
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        ypir_pgf(cfg, 2, 0, -1.0, 0.5)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        ypir_pgf(cfg, 2, -1, 1.0, 0.5)
+
+
 def test_gauss_legendre_closed_forms_match_quad():
     # scipy's adaptive quad is the reference for the panel rule; the fixed
     # draw has r*t ~ 900, where one 64-node panel on [0, t] is off by ~1e-7

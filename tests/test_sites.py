@@ -128,7 +128,27 @@ def test_marginal_rates_pair_equals_resetting_rate():
 
 
 def test_marginal_rates_pooling():
-    # sites 2 and 3 both cut {1}|{3} out of A={1,3}
+    # right arm: sites 2 and 3 both cut {1}|{3} out of A={1,3}
     cfg = SiteConfig(n=3, i_star=1, s=1.0, rho=(0.0, 0.4, 0.9))
     rates = cfg.marginal_rates({1, 3})
     assert rates[3] == pytest.approx(0.4 + 0.9)
+    # left arm: sites 1 and 2 both cut {1}|{3} out of A={1,3}
+    cfg = SiteConfig(n=3, i_star=3, s=1.0, rho=(0.4, 0.9, 0.0))
+    rates = cfg.marginal_rates({1, 3})
+    assert rates == {1: pytest.approx(0.4 + 0.9)}
+
+
+def test_marginal_rates_refuse_subset_without_selected_site():
+    cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.5, 0.0, 0.8))
+    with pytest.raises(ValueError, match="selected site 2"):
+        cfg.marginal_rates({1, 3})
+    with pytest.raises(ValueError, match="selected site 2"):
+        cfg.marginal({1, 3})
+
+
+def test_marginal_model_relabels_the_subset():
+    cfg = SiteConfig(n=6, i_star=3, s=0.7, rho=(0.1, 0.2, 0.0, 0.3, 0.4, 0.5))
+    model = cfg.marginal({6, 1, 3, 4})
+    assert model == SiteConfig(n=4, i_star=2, s=0.7, rho=(0.1 + 0.2, 0.0, 0.3, 0.4 + 0.5))
+    assert cfg.marginal(cfg.sites) == cfg
+    assert cfg.marginal({3}) == SiteConfig(n=1, i_star=1, s=0.7, rho=(0.0,))

@@ -466,6 +466,26 @@ def test_marginal_consistency_all_subsets():
         assert l1_distance(full.final().project(A), marg.final()) < 1e-6, A
 
 
+def test_marginal_model_in_closed_form_matches_projection():
+    # the marginal on every subset holding the selected site solves the
+    # relabelled model cfg.marginal(A), checked with the exact engine alone
+    rng = spawn_stream(101, 25)
+    for _ in range(8):
+        cfg = random_cfg(rng, n_max=7)
+        nu = random_prob(cfg.sites, rng)
+        t = float(rng.uniform(0.2, 2.0))
+        full = semigroup_solve(cfg, nu, t)
+        others = [i for i in cfg.sites if i != cfg.i_star]
+        for mask in range(2 ** len(others)):
+            A = sorted({cfg.i_star} | {a for j, a in enumerate(others) if (mask >> j) & 1})
+            model = cfg.marginal(A)
+            marg = semigroup_solve(model, Measure(model.sites, nu.project(A).values), t)
+            proj = full.project(A)
+            assert float(np.abs(marg.values - proj.values).sum()) < 1e-12, (cfg, A)
+    with pytest.raises(ValueError, match="selected site"):
+        cfg.marginal(others)
+
+
 def test_marginal_selected_site_is_logistic():
     rng = spawn_stream(101, 23)
     cfg = SiteConfig(n=3, i_star=2, s=0.9, rho=(0.5, 0.0, 0.8))
