@@ -319,13 +319,37 @@ class Split:
         lo, hi = (head, tail) if self.head_low else (tail, head)
         return (hi[..., :, None] * lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
 
-    def recombine(self, V: np.ndarray) -> np.ndarray:
-        """Replace every row by the product of its head and tail marginals."""
-        # the vector field calls this on every step: one reshape, no
-        # orientation, since the product is symmetric in the two blocks
-        blocks = V.reshape(V.shape[:-1] + (-1, 1 << self.n_lo))
-        hi = np.add.reduce(blocks, axis=-1, keepdims=True)
-        return (hi * np.add.reduce(blocks, axis=-2, keepdims=True)).reshape(V.shape)
+
+def add_cut_products(out: np.ndarray, v: np.ndarray, cuts: dict[int, float]) -> None:
+    """Add rate * (high marginal x low marginal) of v into out, in place, for
+    every n_lo: rate in cuts, where n_lo is Split.n_lo of a cut: the number
+    of lowest sites in its low block.
+
+    The cuts of one site set are nested: the low marginals P_m (on the m
+    lowest sites) come from halving off the top bit of the previous one,
+    and the high marginals S_m (on the rest) from pairing off the lowest
+    bit.  All of them together cost about two passes over v, where one
+    Split per cut would cost two passes per cut.
+    """
+    if not cuts:
+        return
+    k = v.size.bit_length() - 1
+    if v.size != 1 << k or out.shape != v.shape or not out.flags.c_contiguous:
+        raise ValueError("out and v must be flat vectors of one length 2^k")
+    lowest, highest = min(cuts), max(cuts)
+    if lowest < 1 or highest >= k:
+        raise ValueError("each cut needs 0 < n_lo < number of sites")
+    low = {}
+    p = v
+    for m in range(k - 1, lowest - 1, -1):
+        p = p[: 1 << m] + p[1 << m :]
+        low[m] = p
+    q = v
+    for m in range(1, highest + 1):
+        q = q[0::2] + q[1::2]
+        if m in cuts:
+            block = out.reshape(-1, 1 << m)
+            block += (cuts[m] * q)[:, None] * low[m]
 
 
 def partition_recombinator(nu: Measure, blocks: Iterable[Iterable[int]]) -> Measure:

@@ -23,6 +23,7 @@ from .measure import (
     Measure,
     ProbabilityMeasure,
     Split,
+    add_cut_products,
     cond_fit,
     cond_unfit,
     fit_fraction,
@@ -131,11 +132,12 @@ def make_rhs(cfg: SiteConfig) -> Callable[[np.ndarray], np.ndarray]:
     raw value vector to its time derivative."""
     s = cfg.s
     fmask = fit_mask(cfg.sites, cfg.i_star).astype(float)
-    terms = [
-        (cfg.rho_of(i), Split(cfg.sites, *cfg.head_tail(i)))
+    cuts = {
+        Split(cfg.sites, *cfg.head_tail(i)).n_lo: cfg.rho_of(i)
         for i in cfg.crossover_sites
         if cfg.rho_of(i) != 0.0
-    ]
+    }
+    total = sum(cuts.values())
 
     def rhs(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
@@ -145,8 +147,9 @@ def make_rhs(cfg: SiteConfig) -> Callable[[np.ndarray], np.ndarray]:
             vf = v * fmask
             f = float(vf.sum())
             out += s * (vf - f * v)
-        for rate, split in terms:
-            out += rate * (split.recombine(v) - v)
+        if cuts:
+            add_cut_products(out, v, cuts)
+            out -= total * v
         return out
 
     return rhs
@@ -235,7 +238,9 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
             diff = float(np.abs(out[-1] - prev_final).sum())
             if diff < settings.quad_tol:
                 return Trajectory(grid, cfg.sites, out, drift)
-        prev_final = out[-1]
+        # a copy of the endpoint, so the next run is the only trajectory
+        prev_final = out[-1].copy()
+        del out
         substeps *= 2
     raise SolverError(
         f"no convergence to {settings.quad_tol} after {MAX_HALVINGS} step halvings"
@@ -287,16 +292,20 @@ def recursive_solve(
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
-    levels = _recursion_levels(cfg, omega0, settings.grid(), permutation)
-    fam = TruncatedFamily(cfg, permutation, settings.grid(), levels)
+    fam = TruncatedFamily(
+        cfg, permutation, settings.grid(),
+        _recursion_levels(cfg, omega0, settings.grid(), permutation),
+    )
     if settings.t_max > 0.0:
         coarse = SolverSettings(
             t_max=settings.t_max,
             grid_steps=max(2, settings.grid_steps // 2),
             quad_tol=settings.quad_tol,
         )
-        ref = _recursion_levels(cfg, omega0, coarse.grid(), permutation)
-        diff = float(np.abs(levels[-1][-1] - ref[-1][-1]).sum())
+        # only the last coarse level is compared: keep no other
+        for ref in _recursion_levels(cfg, omega0, coarse.grid(), permutation):
+            pass
+        diff = float(np.abs(fam.solution.values[-1] - ref[-1]).sum())
         if diff > 10.0 * settings.quad_tol:
             raise GridTooCoarseError(
                 f"half-step comparison gives {diff:.3e} > 10 * {settings.quad_tol:.1e}; "
@@ -315,6 +324,8 @@ def _cumulative_trapezoid(y, times):
 
 
 def _recursion_levels(cfg, omega0, times, permutation):
+    """Yield the levels' values on the grid one at a time, each computed
+    from the one before."""
     s = cfg.s
     v0 = omega0.values
     fv = fitness_projection(omega0, cfg.i_star).values
@@ -324,20 +335,18 @@ def _recursion_levels(cfg, omega0, times, permutation):
     level = (e[:, None] * fv[None, :] + (v0 - fv)[None, :]) / (
         e * f0 + (1.0 - f0)
     )[:, None]
-    levels = [level]
+    yield level
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
-        if rate == 0.0:
-            levels.append(levels[-1])
-            continue
-        split = Split(cfg.sites, *cfg.head_tail(i))
-        prev = levels[-1]
-        decay = np.exp(-rate * times)
-        integ = _cumulative_trapezoid((rate * decay)[:, None] * prev, times)
-        levels.append(
-            decay[:, None] * prev + split.product(split.head(prev), split.tail(integ))
-        )
-    return levels
+        if rate != 0.0:
+            split = Split(cfg.sites, *cfg.head_tail(i))
+            decay = np.exp(-rate * times)
+            # the trapezoid is linear, so it integrates the tail marginal only
+            integ = _cumulative_trapezoid(
+                (rate * decay)[:, None] * split.tail(level), times
+            )
+            level = decay[:, None] * level + split.product(split.head(level), integ)
+        yield level
 
 
 def linkage_disequilibrium(family: TruncatedFamily, level: int, t: float) -> Measure:
@@ -360,7 +369,7 @@ def ld_decay_residual(family: TruncatedFamily, level: int) -> dict:
     split = Split(cfg.sites, *cfg.head_tail(i))
 
     def deviation(W):
-        return W - split.recombine(W)
+        return W - split.product(split.head(W), split.tail(W))
 
     lhs = deviation(family.levels[level].values)
     below = deviation(family.levels[level - 1].values)

@@ -322,3 +322,27 @@ def test_dual_memory_bounded_at_twelve_sites(tmp_path):
     code, peak_kb = map(int, proc.stdout.split()[-2:])
     assert code == 0
     assert peak_kb < 600 * 1024
+
+
+def test_solve_memory_bounded_at_twelve_sites(tmp_path):
+    # the recursion's half-grid check keeps only its last level and the ODE
+    # one trajectory at a time: the parent of this design peaked at about
+    # 119 MB on such a run
+    rng = np.random.default_rng(1212)
+    n, i_star = 12, 7
+    rho = rng.uniform(0.05, 0.4, n)
+    rho[i_star - 1] = 0.0
+    initial = rng.random(2 ** n) + 1e-3
+    cfgp = write_config(
+        tmp_path, n=n, i_star=i_star, rho=rho.tolist(),
+        initial={"vector": (initial / initial.sum()).tolist()}, t_max=1.0,
+        grid_steps=128, quad_tol=1e-5, agreement_tol=1e-4,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "solve", "--method", "all",
+         "--config", str(cfgp), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0
+    assert peak_kb < 110 * 1024

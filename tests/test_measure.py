@@ -151,11 +151,9 @@ def test_recombinator_two_sites():
 def assert_split_matches_recombinator(sites, head, tail, rng):
     V = rng.random((5, 2 ** len(sites)))
     split = Split(sites, head, tail)
-    got = split.recombine(V)
     via_marginals = split.product(split.head(V), split.tail(V))
-    for row, g, m in zip(V, got, via_marginals):
+    for row, m in zip(V, via_marginals):
         expect = recombinator(Measure(sites, row), head, tail).values
-        assert np.array_equal(g, expect)
         assert np.array_equal(m, expect)
 
 

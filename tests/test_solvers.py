@@ -17,6 +17,7 @@ from selrec import (
     cond_fit,
     delta,
     equilibration_time,
+    fitness_projection,
     fit_fraction,
     integrate_ode,
     l1_distance,
@@ -35,7 +36,8 @@ from selrec import (
     uniform,
     ypir_stationary,
 )
-from selrec.solvers import _cumulative_trapezoid
+from selrec.measure import Split
+from selrec.solvers import _cumulative_trapezoid, make_rhs
 
 
 def random_prob(sites, rng):
@@ -124,6 +126,47 @@ def test_rhs_conserves_mass():
         cfg = random_cfg(rng)
         nu = random_prob(cfg.sites, rng)
         assert abs(sre_rhs(cfg, nu).mass()) < 1e-12
+
+
+def test_vector_field_matches_per_cut_recombinator():
+    # the bound is fixed up front at about 8 n eps times the size of the
+    # terms summed; an index slip in the prefix/suffix sweep is of the size
+    # of the terms themselves
+    rng = spawn_stream(101, 41)
+    for n in range(1, 11):
+        for i_star in range(1, n + 1):
+            for s in (0.0, 0.9):
+                rho = rng.uniform(0.1, 1.0, n)
+                rho[rng.random(n) < 0.3] = 0.0
+                rho[i_star - 1] = 0.0
+                cfg = SiteConfig(n=n, i_star=i_star, s=s, rho=tuple(rho))
+                nu = random_prob(cfg.sites, rng)
+                fv = fitness_projection(nu, i_star).values
+                expect = s * (fv - fv.sum() * nu.values)
+                scale = s * np.abs(nu.values).max()
+                for i in cfg.crossover_sites:
+                    R = recombinator(nu, *cfg.head_tail(i)).values
+                    expect = expect + cfg.rho_of(i) * (R - nu.values)
+                    scale += cfg.rho_of(i) * (np.abs(R).max() + np.abs(nu.values).max())
+                got = make_rhs(cfg)(nu.values)
+                assert np.abs(got - expect).max() <= 1e-14 * scale
+
+
+def test_vector_field_without_rates_is_the_selection_term_exactly():
+    # no recombination term is added at all: no -0.0 from subtracting 0 * v
+    rng = spawn_stream(101, 42)
+    for n, i_star in ((1, 1), (4, 2)):
+        for s in (0.0, 1.3):
+            cfg = SiteConfig(n=n, i_star=i_star, s=s, rho=(0.0,) * n)
+            nu = random_prob(cfg.sites, rng)
+            fv = fitness_projection(nu, i_star).values
+            expect = np.zeros(2 ** n)
+            if s:
+                expect += s * (fv - float(fv.sum()) * nu.values)
+            got = make_rhs(cfg)(nu.values)
+            assert got.tobytes() == expect.tobytes()
+            if s == 0.0:
+                assert not np.signbit(got).any()
 
 
 # -- ODE integration -------------------------------------------------------------
@@ -215,6 +258,29 @@ def test_trapezoid_prefix_sum_matches_scipy_bits():
         _cumulative_trapezoid(y, times),
         cumulative_trapezoid(y, x=times, axis=0, initial=0.0),
     )
+
+
+def test_tail_only_recursion_level_matches_full_array_formula():
+    # a level integrates rate * decay * (tail marginal of the level below);
+    # by linearity that is the tail marginal of the full-array integral
+    rng = spawn_stream(101, 43)
+    for n, i_star in ((2, 1), (4, 2), (6, 4)):
+        rho = tuple(0.0 if i == i_star else float(rng.uniform(0.2, 1.5))
+                    for i in range(1, n + 1))
+        cfg = SiteConfig(n=n, i_star=i_star, s=0.8, rho=rho)
+        nu = random_prob(cfg.sites, rng)
+        fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=128,
+                                                      quad_tol=1e-4))
+        times = fam.times
+        for k in range(1, n):
+            i = fam.permutation[k]
+            rate = cfg.rho_of(i)
+            split = Split(cfg.sites, *cfg.head_tail(i))
+            prev = fam.levels[k - 1].values
+            decay = np.exp(-rate * times)
+            full = _cumulative_trapezoid((rate * decay)[:, None] * prev, times)
+            expect = decay[:, None] * prev + split.product(split.head(prev), split.tail(full))
+            assert np.abs(fam.levels[k].values - expect).max() < 1e-14
 
 
 def test_recursion_levels_degenerate_without_rate():
