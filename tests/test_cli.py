@@ -326,8 +326,8 @@ def test_dual_memory_bounded_at_twelve_sites(tmp_path):
 
 def test_solve_memory_bounded_at_twelve_sites(tmp_path):
     # the recursion's half-grid check keeps only its last level and the ODE
-    # one trajectory at a time: the parent of this design peaked at about
-    # 119 MB on such a run
+    # one trajectory at a time: with every coarse level and two trajectories
+    # kept, such a run peaked at about 119 MB
     rng = np.random.default_rng(1212)
     n, i_star = 12, 7
     rho = rng.uniform(0.05, 0.4, n)

@@ -21,7 +21,7 @@ from selrec import (
     tensor,
     uniform,
 )
-from selrec.measure import UNIT, Split, scalar
+from selrec.measure import UNIT, Split, add_cut_products, scalar
 
 
 def random_prob(sites, rng):
@@ -181,6 +181,16 @@ def test_split_refuses_non_contiguous_blocks():
         Split((1, 2, 3), {1, 3}, {2})
     with pytest.raises(ValueError, match="partition"):
         Split((1, 2, 3), {1}, {2})
+
+
+def test_cut_products_refuse_cuts_outside_the_sites():
+    v = np.full(8, 0.125)
+    for bad in ({0: 1.0}, {3: 1.0}):
+        with pytest.raises(ValueError, match="n_lo"):
+            add_cut_products(np.zeros(8), v, bad)
+    # a strided out would be reshaped into a copy and the sum lost
+    with pytest.raises(ValueError, match="flat vectors"):
+        add_cut_products(np.zeros(16)[::2], v, {1: 1.0})
 
 
 def test_partition_recombinator_identity_and_single_cut():
