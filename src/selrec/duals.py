@@ -23,7 +23,6 @@ import numpy as np
 from .measure import (
     Measure,
     ProbabilityMeasure,
-    Split,
     boxtimes,
     cond_fit,
     cond_unfit,
@@ -34,6 +33,7 @@ from .partitions import WeightedPartition, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
+    _DualityChain,
     _integral,
     _renewal_density,
     _started_mass_pgf,
@@ -564,44 +564,26 @@ def duality_runtimes(
 BLOCK = 4096
 
 
-class _MixtureEvaluator:
+class _MixtureEvaluator(_DualityChain):
     """Evaluation of a duality function at nu for whole blocks of dual states.
 
-    Every factor of a duality value is an affine mixture (1 - g)*b + g*d of
-    the fit and unfit conditionals of nu, restricted to the tail of a
-    started site.  Taken outward from the selected site, each factor
-    overwrites the tail of the product so far, which is the overwrite
-    product of `duality_counts` done row-wise with one `Split` per site.
-    The partition picture gives the same values: the part of a tail that
-    no later factor overwrites is the block its started site anchors.
+    Every duality value is the duality chain with sampled weights: started
+    from (1 - g)*b + g*d with the selected site's unfit weight g, then
+    overwritten at each further started site, outward, with that site's
+    weight.  This is the overwrite product of `duality_counts` done
+    row-wise.  The partition picture gives the same values: the part of a
+    tail that no later factor overwrites is the block its started site
+    anchors.
     """
-
-    def __init__(self, cfg: SiteConfig, nu: Measure):
-        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
-        b = cond_fit(nu, cfg.i_star)
-        d = cond_unfit(nu, cfg.i_star)
-        self.perm = cfg.canonical_permutation()
-        self._b, self._d = b.values, d.values
-        # per crossover site: its split and the tail marginals of b and d
-        self._tails = {}
-        for i in self.perm[1:]:
-            head, tail = cfg.head_tail(i)
-            self._tails[i] = (
-                Split(cfg.sites, head, tail),
-                b.project(tail).values,
-                d.project(tail).values,
-            )
 
     def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
         """Duality values of states sharing one started set, which opens
         with the selected site; dweights holds one row of unfit weights per
         state, one column per started site."""
-        g = dweights[:, :1]
-        out = (1.0 - g) * self._b + g * self._d
+        out = self.start(dweights[:, :1])
         for i, g in zip(active[1:], dweights.T[1:]):
-            split, b, d = self._tails[i]
             g = g[:, None]
-            out = split.product(split.head(out), (1.0 - g) * b + g * d)
+            out = self.overwrite(out, i, 1.0 - g, g)
         return out
 
     def fill(self, rows: np.ndarray, started: np.ndarray, dweights: np.ndarray) -> None:
@@ -612,7 +594,7 @@ class _MixtureEvaluator:
         order = np.argsort(keys, kind="stable")
         uniq, first = np.unique(keys[order], return_index=True)
         for key, idx in zip(uniq.tolist(), np.split(order, first[1:])):
-            active = tuple(i for i in self.perm if key >> (i - 1) & 1)
+            active = tuple(i for i in self.order if key >> (i - 1) & 1)
             cols = [i - 1 for i in active]
             rows[idx] = self.value(active, dweights[np.ix_(idx, cols)])
 

@@ -29,9 +29,7 @@ from .measure import (
     fit_fraction,
     fit_mask,
     fitness_projection,
-    l1_distance,
     recombinator,
-    tensor,
 )
 from .sites import SiteConfig
 
@@ -193,6 +191,8 @@ def logistic_fit_fraction(s: float, f0: float, t):
 # -- Runge-Kutta integrator ---------------------------------------------------
 
 def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
+    """Values on the grid and the largest mass drift, or None once the mass
+    collapses or stops being finite."""
     out = np.empty((grid.size, v0.size))
     out[0] = v0
     v = v0.copy()
@@ -206,8 +206,8 @@ def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
             k4 = rhs(v + dt * k3)
             v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             m = v.sum()
-            if not m > 0.0:
-                raise SolverError("total mass collapsed during integration")
+            if not 0.0 < m < math.inf:
+                return None
             drift = max(drift, abs(m - 1.0))
             v /= m
         out[j] = v
@@ -218,8 +218,9 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
     """Classic fourth-order integration with step halving.
 
     The step is halved until two successive refinements agree at t_max to
-    within quad_tol in l1; the mass is renormalised after every step and
-    the largest drift is recorded on the trajectory.
+    within quad_tol in l1; a run whose mass collapses or stops being finite
+    counts as not converged and is discarded.  The mass is renormalised
+    after every step and the largest drift is recorded on the trajectory.
     """
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
@@ -233,14 +234,18 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
     substeps = max(1, math.ceil(cell / step))
     prev_final = None
     for _ in range(MAX_HALVINGS + 1):
-        out, drift = _rk4_run(rhs, omega0.values, grid, substeps)
-        if prev_final is not None:
-            diff = float(np.abs(out[-1] - prev_final).sum())
-            if diff < settings.quad_tol:
-                return Trajectory(grid, cfg.sites, out, drift)
-        # a copy of the endpoint, so the next run is the only trajectory
-        prev_final = out[-1].copy()
-        del out
+        run = _rk4_run(rhs, omega0.values, grid, substeps)
+        if run is None:
+            prev_final = None
+        else:
+            out, drift = run
+            if prev_final is not None:
+                diff = float(np.abs(out[-1] - prev_final).sum())
+                if diff < settings.quad_tol:
+                    return Trajectory(grid, cfg.sites, out, drift)
+            # a copy of the endpoint, so the next run is the only trajectory
+            prev_final = out[-1].copy()
+            del out, run
         substeps *= 2
     raise SolverError(
         f"no convergence to {settings.quad_tol} after {MAX_HALVINGS} step halvings"
@@ -297,13 +302,11 @@ def recursive_solve(
         _recursion_levels(cfg, omega0, settings.grid(), permutation),
     )
     if settings.t_max > 0.0:
-        coarse = SolverSettings(
-            t_max=settings.t_max,
-            grid_steps=max(2, settings.grid_steps // 2),
-            quad_tol=settings.quad_tol,
-        )
+        # half the steps, rounded down: at 2 or 3 steps the reference is a
+        # single step, never the run's own grid
+        coarse = np.linspace(0.0, settings.t_max, settings.grid_steps // 2 + 1)
         # only the last coarse level is compared: keep no other
-        for ref in _recursion_levels(cfg, omega0, coarse.grid(), permutation):
+        for ref in _recursion_levels(cfg, omega0, coarse, permutation):
             pass
         diff = float(np.abs(fam.solution.values[-1] - ref[-1]).sum())
         if diff > 10.0 * settings.quad_tol:
@@ -466,34 +469,70 @@ def _started_mass_pgf(s, rho, r, t, x):
     ))
 
 
+class _DualityChain:
+    """The overwrite chain that builds every duality value at a measure nu.
+
+    A value starts from the mixture (1 - g)*b + g*d of the fit and unfit
+    conditionals b and d of nu.  Then, outward from the selected site, each
+    started site i overwrites the tail of the value so far with a mixture
+    wb*b_T + wd*d_T of the tail marginals of b and d.  The closed form takes
+    expected weights, the Monte Carlo sampled ones and the long-time limit
+    stationary ones.  Weights may be columns of shape (rows, 1), giving one
+    value per row.
+    """
+
+    def __init__(self, cfg: SiteConfig, nu: Measure):
+        # unfit mass: an ancestor with k lines is unfit with chance y^k
+        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
+        b = cond_fit(nu, cfg.i_star)
+        d = cond_unfit(nu, cfg.i_star)
+        self.b, self.d = b.values, d.values
+        self.order = cfg.canonical_permutation()
+        # per crossover site: its split and the tail marginals of b and d
+        self._tails = {}
+        for i in self.order[1:]:
+            head, tail = cfg.head_tail(i)
+            self._tails[i] = (
+                Split(cfg.sites, head, tail),
+                b.project(tail).values,
+                d.project(tail).values,
+            )
+
+    def start(self, g):
+        """(1 - g)*b + g*d on all sites."""
+        return (1.0 - g) * self.b + g * self.d
+
+    def overwrite(self, out: np.ndarray, i: int, wb, wd) -> np.ndarray:
+        """Each row of out with its tail at site i replaced: the head
+        marginal of the row times wb*b_T + wd*d_T."""
+        split, b, d = self._tails[i]
+        return split.product(split.head(out), wb * b + wd * d)
+
+
 def semigroup_solve(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMeasure:
     """Assemble the solution directly from per-site renewal laws; with
-    s = 0 every count stays at its start and the same formula applies."""
+    s = 0 every count stays at its start and the same formula applies.
+
+    The duality chain with expected weights: site i has started by t with
+    chance p.  The value so far stays with weight 1 - p; the overwrite of
+    the tail carries weight G = E[y^N; N >= 1] on d and p - G on b, where N
+    is the site's line count."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return ProbabilityMeasure(omega0.sites, omega0.values)
-    x = 1.0 - fit_fraction(omega0, cfg.i_star)
-    b = cond_fit(omega0, cfg.i_star)
-    d = cond_unfit(omega0, cfg.i_star)
+    chain = _DualityChain(cfg, omega0)
     resets = cfg.resetting_rates()
-    g0 = yule_pgf(cfg.s, t, x)
-    acc = d.values * g0 + b.values * (1.0 - g0)
-    for i in cfg.canonical_permutation()[1:]:
+    acc = chain.start(yule_pgf(cfg.s, t, chain.y))
+    for i in chain.order[1:]:
         rho = cfg.rho_of(i)
         if rho == 0.0:
             continue
-        r = float(resets[i - 1])
-        head, tail = cfg.head_tail(i)
-        started = 1.0 - math.exp(-rho * t)
-        gmass = _started_mass_pgf(cfg.s, rho, r, t, x)
-        mix = d.project(tail).values * gmass + b.project(tail).values * (
-            started - gmass
-        )
-        split = Split(cfg.sites, head, tail)
-        acc = (1.0 - started) * acc + split.product(split.head(acc), mix)
+        p = 1.0 - math.exp(-rho * t)
+        G = _started_mass_pgf(cfg.s, rho, float(resets[i - 1]), t, chain.y)
+        acc = (1.0 - p) * acc + chain.overwrite(acc, i, p - G, G)
     return ProbabilityMeasure(cfg.sites, acc / acc.sum())
 
 
@@ -532,19 +571,15 @@ def asymptotic_limit(cfg: SiteConfig, omega0: Measure) -> ProbabilityMeasure:
             f"the long-time limit needs a positive crossover rate at every "
             f"site other than the selected one; zero at {zero}"
         )
-    x = 1.0 - fit_fraction(omega0, cfg.i_star)
-    b = cond_fit(omega0, cfg.i_star)
-    d = cond_unfit(omega0, cfg.i_star)
+    chain = _DualityChain(cfg, omega0)
     resets = cfg.resetting_rates()
-    out = Measure((), [1.0])
-    for i in cfg.sites:
-        if i == cfg.i_star:
-            gamma = 1.0 if x == 0.0 else 0.0
-        else:
-            gamma = stationary_count_pgf(float(resets[i - 1]) / cfg.s, x)
-        vals = (1.0 - gamma) * b.project([i]).values + gamma * d.project([i]).values
-        out = tensor(out, Measure((i,), vals))
-    return ProbabilityMeasure(out.sites, out.values)
+    # every site has started, and each overwrite leaves only the site
+    # itself of its tail: the limit is the product of one-site marginals
+    out = chain.start(1.0 if chain.y == 0.0 else 0.0)
+    for i in chain.order[1:]:
+        gamma = stationary_count_pgf(float(resets[i - 1]) / cfg.s, chain.y)
+        out = chain.overwrite(out, i, 1.0 - gamma, gamma)
+    return ProbabilityMeasure(cfg.sites, out)
 
 
 def equilibration_time(cfg: SiteConfig, omega0: Measure, eps: float = 1e-4) -> float:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,94 @@ def test_verify_solves_one_ode(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["marginal_consistency"]["passed"]
+
+
+@pytest.mark.parametrize("command", ["dual", "asymptotics"])
+def test_closed_form_commands_run_no_ode(tmp_path, monkeypatch, command):
+    # dual's z reference and the asymptotics distance curve both come from
+    # semigroup_solve; neither command integrates or sets up an ODE
+    import selrec.cli
+    import selrec.solvers
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    cfgp = write_config(tmp_path)
+    monkeypatch.setattr(selrec.solvers, "integrate_ode", counted(selrec.solvers.integrate_ode))
+    monkeypatch.setattr(selrec.cli, "integrate_ode", counted(selrec.cli.integrate_ode))
+    monkeypatch.setattr(selrec.cli, "SolverSettings", counted(selrec.cli.SolverSettings))
+    assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 0
+    assert calls == []
+
+
+def test_dual_reference_is_the_closed_form(tmp_path):
+    from selrec.config import ExperimentConfig
+    from selrec.solvers import semigroup_solve
+
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["dual", "--config", str(cfgp), "--out", str(out)]) == 0
+    payload = json.loads((out / "dual_estimates.json").read_text())
+    exp = ExperimentConfig.from_file(cfgp)
+    expect = semigroup_solve(exp.cfg, exp.omega0, exp.settings.t_max).to_dict()
+    assert payload["reference"] == expect
+
+
+def test_asymptotics_csv_holds_numbers(tmp_path):
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["asymptotics", "--config", str(cfgp), "--out", str(out)]) == 0
+    lines = (out / "asymptotics_convergence.csv").read_text().splitlines()
+    assert lines[0].startswith("# selrec")
+    assert lines[1] == "t,l1_to_limit"
+    rows = lines[2:]
+    assert len(rows) == BASE["grid_steps"] + 1
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 2
+        t, d = (float(x) for x in fields)
+        assert t >= 0.0 and d >= 0.0
+
+
+EXAMPLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "example.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, code, message",
+    [
+        (["ld"], {"t_max": 0.0}, 0, ""),
+        (["solve", "--method", "ode"], {"t_max": 20.0, "grid_steps": 2}, 0, ""),
+        (["asymptotics"], {"grid_steps": 2}, 0, ""),
+        (["verify"], {"grid_steps": 2}, 2, "increase grid_steps"),
+    ],
+    ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2"],
+)
+def test_edge_configs_exit_codes(tmp_path, capsys, argv, overrides, code, message):
+    # the example model on edge settings; each row's exit code was fixed
+    # before it was first run
+    cfgp = tmp_path / "edge.json"
+    cfgp.write_text(json.dumps({**EXAMPLE, **overrides}))
+    out = tmp_path / "run"
+    assert main([*argv, "--config", str(cfgp), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_ld_at_time_zero_writes_null_rates(tmp_path):
+    # every grid time is 0, so no decay rate can be fitted
+    cfgp = tmp_path / "edge.json"
+    cfgp.write_text(json.dumps({**EXAMPLE, "t_max": 0.0}))
+    out = tmp_path / "run"
+    assert main(["ld", "--config", str(cfgp), "--out", str(out)]) == 0
+    levels = json.loads((out / "ld_rates.json").read_text())["levels"]
+    assert len(levels) == EXAMPLE["n"] - 1
+    assert all(row["fitted_rate"] is None for row in levels)
 
 
 def test_dual_refuses_overflowing_line_counts(tmp_path, capsys):

@@ -15,6 +15,7 @@ from selrec import (
     SolverSettings,
     asymptotic_limit,
     cond_fit,
+    cond_unfit,
     delta,
     equilibration_time,
     fitness_projection,
@@ -53,6 +54,10 @@ def random_cfg(rng, n_max=4, allow_zero_rho=True):
     rho = [float(rng.uniform(lo, 2.0)) for _ in range(n)]
     rho[i_star - 1] = 0.0
     return SiteConfig(n=n, i_star=i_star, s=s, rho=tuple(rho))
+
+
+# the initial vector of configs/example.json
+EXAMPLE_VECTOR = [0.22, 0.05, 0.08, 0.15, 0.10, 0.04, 0.06, 0.30]
 
 
 # -- selection flow ------------------------------------------------------------
@@ -200,6 +205,16 @@ def test_ode_bits_independent_of_blas_threads():
         digests.append(proc.stdout)
     assert len(digests[0].splitlines()) == 2
     assert digests[0] == digests[1]
+
+
+def test_ode_halves_the_step_after_a_collapsed_run():
+    # two grid cells over [0, 20]: the first one-substep runs collapse, and
+    # the step is halved until the runs converge on the closed form
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    traj = integrate_ode(cfg, nu, SolverSettings(t_max=20.0, grid_steps=2, quad_tol=1e-7))
+    for t in (10.0, 20.0):
+        assert l1_distance(traj.at_time(t), semigroup_solve(cfg, nu, t)) < 1e-6
 
 
 def test_ode_constant_when_all_rates_vanish():
@@ -354,6 +369,15 @@ def test_recursion_coarse_grid_raises():
                                                 quad_tol=1e-9))
 
 
+def test_recursion_half_grid_check_never_compares_a_grid_with_itself():
+    # at 2 steps the reference pass takes 1 step; a 2-step reference would
+    # accept this run, which is 0.014 off the closed form in l1
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    with pytest.raises(GridTooCoarseError):
+        recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=2, quad_tol=1e-7))
+
+
 # -- semigroup solution -------------------------------------------------------------
 
 
@@ -479,6 +503,33 @@ def test_asymptotic_limit_matches_long_run():
         traj = integrate_ode(cfg, nu, SolverSettings(t_max=T, grid_steps=256,
                                                      quad_tol=1e-8))
         assert l1_distance(traj.final(), limit) < 1e-3, cfg
+
+
+def test_asymptotic_limit_is_the_product_of_one_site_mixtures():
+    # each site's marginal is (1 - gamma_i)*b + gamma_i*d, with gamma_i the
+    # stationary pgf at the unfit mass (0 at the selected site), and the
+    # sites are independent
+    rng = spawn_stream(101, 40)
+    for k in range(9):
+        n = int(rng.integers(1, 9))
+        i_star = (1, n, int(rng.integers(1, n + 1)))[k % 3]
+        rho = [float(rng.uniform(0.05, 2.0)) for _ in range(n)]
+        rho[i_star - 1] = 0.0
+        cfg = SiteConfig(n=n, i_star=i_star, s=float(rng.uniform(0.1, 2.0)), rho=tuple(rho))
+        nu = random_prob(cfg.sites, rng)
+        y = 1.0 - fit_fraction(nu, i_star)
+        b, d = cond_fit(nu, i_star), cond_unfit(nu, i_star)
+        expect = np.ones(1)
+        for i in cfg.sites:
+            if i == i_star:
+                gamma = 1.0 if y == 0.0 else 0.0
+            else:
+                gamma = stationary_count_pgf(cfg.resetting_rate(i) / cfg.s, y)
+            one = (1.0 - gamma) * b.project({i}).values + gamma * d.project({i}).values
+            # the smallest site sits in the least significant bit
+            expect = np.kron(one, expect)
+        got = asymptotic_limit(cfg, nu).values
+        assert np.abs(got - expect).max() <= 1e-15, cfg
 
 
 def test_asymptotic_limit_requires_positive_rates():
