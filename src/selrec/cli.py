@@ -218,7 +218,7 @@ def cmd_asymptotics(args) -> int:
         raise ConfigError(str(exc)) from exc
     T = equilibration_time(exp.cfg, exp.omega0, eps=5e-5)
     T = max(T, exp.settings.t_max)
-    times = np.linspace(0.0, T, max(exp.settings.grid_steps, 2) + 1).tolist()
+    times = np.linspace(0.0, T, exp.settings.grid_steps + 1).tolist()
     dist = [
         l1_distance(semigroup_solve(exp.cfg, exp.omega0, t), limit) for t in times
     ]

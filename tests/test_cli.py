@@ -230,8 +230,9 @@ EXAMPLE = json.loads(
     ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2"],
 )
 def test_edge_configs_exit_codes(tmp_path, capsys, argv, overrides, code, message):
-    # the example model on edge settings; each row's exit code was fixed
-    # before it was first run
+    # the example model at edge settings: ld fits no rate at t_max 0, the
+    # ODE halves its step until it converges, asymptotics needs no ODE, and
+    # the recursion refuses a grid whose half-grid reference is one step
     cfgp = tmp_path / "edge.json"
     cfgp.write_text(json.dumps({**EXAMPLE, **overrides}))
     out = tmp_path / "run"

@@ -208,8 +208,9 @@ def test_ode_bits_independent_of_blas_threads():
 
 
 def test_ode_halves_the_step_after_a_collapsed_run():
-    # two grid cells over [0, 20]: the first one-substep runs collapse, and
-    # the step is halved until the runs converge on the closed form
+    # two grid cells over [0, 20]: the run with one substep per cell
+    # collapses, and the step is halved until the runs converge on the
+    # closed form
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     traj = integrate_ode(cfg, nu, SolverSettings(t_max=20.0, grid_steps=2, quad_tol=1e-7))
