@@ -33,13 +33,13 @@ from .solvers import (
     SolverError,
     SolverSettings,
     Trajectory,
-    TruncatedFamily,
     asymptotic_limit,
     equilibration_time,
     integrate_ode,
-    ld_decay_residual,
+    ld_decay_residuals,
     recursive_solve,
     selection_flow,
+    semigroup_path,
     semigroup_solve,
     yule_pgf,
 )
@@ -107,12 +107,9 @@ def cmd_solve(args) -> int:
             traj = integrate_ode(exp.cfg, exp.omega0, exp.settings)
             meta["ode_mass_drift"] = traj.mass_drift
         elif name == "recursion":
-            traj = recursive_solve(exp.cfg, exp.omega0, exp.settings).solution
+            traj = recursive_solve(exp.cfg, exp.omega0, exp.settings)
         else:
-            vals = [
-                semigroup_solve(exp.cfg, exp.omega0, t).values
-                for t in times
-            ]
+            vals = [m.values for m in semigroup_path(exp.cfg, exp.omega0, times)]
             traj = Trajectory(np.asarray(times), exp.cfg.sites, np.vstack(vals))
         runtimes[name] = time.perf_counter() - tic
         solved[name] = traj
@@ -219,9 +216,7 @@ def cmd_asymptotics(args) -> int:
     T = equilibration_time(exp.cfg, exp.omega0, eps=5e-5)
     T = max(T, exp.settings.t_max)
     times = np.linspace(0.0, T, exp.settings.grid_steps + 1).tolist()
-    dist = [
-        l1_distance(semigroup_solve(exp.cfg, exp.omega0, t), limit) for t in times
-    ]
+    dist = [l1_distance(m, limit) for m in semigroup_path(exp.cfg, exp.omega0, times)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "asymptotics_convergence.csv").open("w") as fh:
@@ -245,13 +240,13 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_ld(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
-    family = recursive_solve(exp.cfg, exp.omega0, exp.settings)
+    solution, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
+    times = solution.times
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     levels = []
     norm_cols = {}
-    for level in range(1, len(family.levels)):
-        res = ld_decay_residual(family, level)
+    for level, res in enumerate(residuals, start=1):
         norms = res["lhs_norms"]
         norm_cols[level] = norms
         rate = res["rate"]
@@ -259,9 +254,9 @@ def cmd_ld(args) -> int:
         floor = max(1e-12, 1e-6 * float(norms.max()), 1e-6 * float(res["below_norms"].max()))
         ok = (norms > floor) & (res["below_norms"] > floor)
         # a slope needs two distinct times: at t_max 0 every grid time is 0
-        if rate > 0.0 and np.unique(family.times[ok]).size >= 2:
+        if rate > 0.0 and np.unique(times[ok]).size >= 2:
             ratio = np.log(norms[ok] / res["below_norms"][ok])
-            fitted = float(np.polyfit(family.times[ok], ratio, 1)[0])
+            fitted = float(np.polyfit(times[ok], ratio, 1)[0])
         levels.append({
             "level": level,
             "site": res["site"],
@@ -272,7 +267,7 @@ def cmd_ld(args) -> int:
     with (out / "ld_norms.csv").open("w") as fh:
         fh.write(f"# selrec {__version__} config {exp.config_hash}\n")
         fh.write("t," + ",".join(f"level_{k}" for k in norm_cols) + "\n")
-        for j, t in enumerate(family.times):
+        for j, t in enumerate(times):
             fh.write(
                 ",".join([repr(float(t))] + [repr(float(norm_cols[k][j])) for k in norm_cols])
                 + "\n"
@@ -293,11 +288,11 @@ def cmd_ld(args) -> int:
 
 
 def _check_solver_agreement(
-    exp: ExperimentConfig, ode_traj: Trajectory, family: TruncatedFamily
+    exp: ExperimentConfig, ode_traj: Trajectory, rec_traj: Trajectory
 ) -> dict:
     t = exp.settings.t_max
     ode = ode_traj.final()
-    rec = family.solution.final()
+    rec = rec_traj.final()
     semi = semigroup_solve(exp.cfg, exp.omega0, t)
     pair = {
         "ode_recursion": l1_distance(ode, rec),
@@ -337,10 +332,9 @@ def _check_product_algebra(exp: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def _check_ld_identity(family: TruncatedFamily) -> dict:
+def _check_ld_identity(residuals: list[dict]) -> dict:
     worst = 0.0
-    for level in range(1, len(family.levels)):
-        res = ld_decay_residual(family, level)
+    for res in residuals:
         worst = max(worst, res["max_relative_error"])
     return {
         "name": "ld_decay_identity",
@@ -440,11 +434,12 @@ def cmd_verify(args) -> int:
     replicates = args.replicates or exp.replicates
     # the forward problems on the config's own settings, shared by the checks
     ode = integrate_ode(exp.cfg, exp.omega0, exp.settings)
-    family = recursive_solve(exp.cfg, exp.omega0, exp.settings)
+    # one pass of the recursion gives its solution and the level residuals
+    rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
     checks = [
-        _check_solver_agreement(exp, ode, family),
+        _check_solver_agreement(exp, ode, rec),
         _check_product_algebra(exp, seed),
-        _check_ld_identity(family),
+        _check_ld_identity(residuals),
         _check_selection_duality(exp),
         *_check_mc(exp, seed, replicates),
         _check_marginals(exp, ode),

@@ -254,53 +254,51 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
 
 # -- recursion over crossover sites -------------------------------------------
 
-class TruncatedFamily:
-    """Trajectories of the truncated dynamics, one level per site peeled.
-
-    Level 0 is the selection-only flow; level k adds the k-th crossover
-    site of the permutation; the last level solves the full dynamics.
-    """
-
-    def __init__(self, cfg: SiteConfig, permutation, times, level_values):
-        self.cfg = cfg
-        self.permutation = tuple(permutation)
-        self.times = np.asarray(times, dtype=float)
-        self.levels = [
-            Trajectory(self.times, cfg.sites, vals) for vals in level_values
-        ]
-
-    @property
-    def solution(self) -> Trajectory:
-        return self.levels[-1]
-
-    def index_of_time(self, t: float) -> int:
-        return self.levels[0].index_of_time(t)
-
-    def final_probability(self) -> ProbabilityMeasure:
-        return self.solution.final_probability()
-
-
 def recursive_solve(
     cfg: SiteConfig,
     omega0: Measure,
     settings: SolverSettings,
     permutation: Sequence[int] | None = None,
-) -> TruncatedFamily:
+) -> Trajectory:
     """Solve by adding one crossover site per level.
 
     Each level couples the previous one through a single exponentially
     weighted time integral, evaluated by trapezoidal prefix sums on the
-    grid.  For t_max > 0 the endpoint is compared against a run on the
-    half-step grid and a mismatch beyond 10x quad_tol raises
-    GridTooCoarseError.
+    grid.  Only the level being built and the one below it are held; the
+    last level is the solution.  For t_max > 0 the endpoint is compared
+    against a run on the half-step grid and a mismatch beyond 10x quad_tol
+    raises GridTooCoarseError.
     """
+    return _walk_levels(cfg, omega0, settings, permutation)
+
+
+def ld_decay_residuals(
+    cfg: SiteConfig,
+    omega0: Measure,
+    settings: SolverSettings,
+    permutation: Sequence[int] | None = None,
+) -> tuple[Trajectory, list[dict]]:
+    """recursive_solve's solution and the ld_decay_residual of every level
+    k = 1..n-1, each computed in the same pass while levels k-1 and k are
+    held."""
+    residuals = []
+    return _walk_levels(cfg, omega0, settings, permutation, residuals), residuals
+
+
+def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajectory:
+    """The one driver of the recursion.  Streams the levels on the settings'
+    grid, appending to residuals, when given, the ld_decay_residual of each
+    level above the first; then runs the half-grid check and returns the
+    last level."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
-    fam = TruncatedFamily(
-        cfg, permutation, settings.grid(),
-        _recursion_levels(cfg, omega0, settings.grid(), permutation),
-    )
+    times = settings.grid()
+    for k, level in enumerate(_recursion_levels(cfg, omega0, times, permutation)):
+        if k and residuals is not None:
+            residuals.append(ld_decay_residual(cfg, permutation[k], times, level, below))
+        below = level
+    solution = Trajectory(times, cfg.sites, level)
     if settings.t_max > 0.0:
         # half the steps, rounded down: at 2 or 3 steps the reference is a
         # single step, never the run's own grid
@@ -308,13 +306,13 @@ def recursive_solve(
         # only the last coarse level is compared: keep no other
         for ref in _recursion_levels(cfg, omega0, coarse, permutation):
             pass
-        diff = float(np.abs(fam.solution.values[-1] - ref[-1]).sum())
+        diff = float(np.abs(solution.values[-1] - ref[-1]).sum())
         if diff > 10.0 * settings.quad_tol:
             raise GridTooCoarseError(
                 f"half-step comparison gives {diff:.3e} > 10 * {settings.quad_tol:.1e}; "
                 "increase grid_steps"
             )
-    return fam
+    return solution
 
 
 def _cumulative_trapezoid(y, times):
@@ -328,7 +326,9 @@ def _cumulative_trapezoid(y, times):
 
 def _recursion_levels(cfg, omega0, times, permutation):
     """Yield the levels' values on the grid one at a time, each computed
-    from the one before."""
+    from the one before.  Level 0 is the selection-only flow, level k adds
+    crossover site permutation[k].  A yielded array is never written
+    again, so a caller may hold it while the next level is built."""
     s = cfg.s
     v0 = omega0.values
     fv = fitness_projection(omega0, cfg.i_star).values
@@ -348,37 +348,46 @@ def _recursion_levels(cfg, omega0, times, permutation):
             integ = _cumulative_trapezoid(
                 (rate * decay)[:, None] * split.tail(level), times
             )
-            level = decay[:, None] * level + split.product(split.head(level), integ)
+            # decay * level + product, added into the product's fresh buffer
+            # (IEEE addition commutes, so the bits are those of the sum)
+            new = split.product(split.head(level), integ)
+            new += decay[:, None] * level
+            level = new
         yield level
 
 
-def linkage_disequilibrium(family: TruncatedFamily, level: int, t: float) -> Measure:
-    """Deviation of the level-`level` state from its own-site product form."""
-    if not (1 <= level < len(family.levels)):
-        raise ValueError("level must lie in [1, n-1]")
-    cfg = family.cfg
-    i = family.permutation[level]
-    nu = family.levels[level].at_time(t)
+def linkage_disequilibrium(cfg: SiteConfig, i: int, nu: Measure) -> Measure:
+    """Deviation of nu from the product of its marginals on the two sides of
+    a crossover at site i."""
+    if i not in cfg.crossover_sites:
+        raise ValueError(f"site {i} is not a crossover site of the model")
     head, tail = cfg.head_tail(i)
     return nu.sub(recombinator(nu, head, tail))
 
 
-def ld_decay_residual(family: TruncatedFamily, level: int) -> dict:
-    """Compare the product deviation at a level with the exponentially
-    damped deviation one level below, across the whole grid."""
-    cfg = family.cfg
-    i = family.permutation[level]
+def ld_decay_residual(
+    cfg: SiteConfig, i: int, times: np.ndarray, level: np.ndarray, below: np.ndarray
+) -> dict:
+    """Compare the product deviation at site i's cut of the level that adds
+    site i with the exponentially damped deviation of the level below,
+    across the whole grid.  level and below hold values on the grid times,
+    one row per time; neither is written."""
     rate = cfg.rho_of(i)
     split = Split(cfg.sites, *cfg.head_tail(i))
 
     def deviation(W):
-        return W - split.product(split.head(W), split.tail(W))
+        out = split.product(split.head(W), split.tail(W))
+        return np.subtract(W, out, out=out)
 
-    lhs = deviation(family.levels[level].values)
-    below = deviation(family.levels[level - 1].values)
-    rhs = np.exp(-rate * family.times)[:, None] * below
-    norms = np.abs(lhs).sum(axis=1)
-    err = np.abs(lhs - rhs).sum(axis=1)
+    # the same operations as lhs - decay * below and its norms, on two
+    # buffers: each in-place step gives the bits of its out-of-place form
+    rhs = deviation(below)
+    below_norms = np.abs(rhs).sum(axis=1)
+    rhs *= np.exp(-rate * times)[:, None]
+    lhs = deviation(level)
+    diff = np.subtract(lhs, rhs, out=rhs)
+    err = np.abs(diff, out=diff).sum(axis=1)
+    norms = np.abs(lhs, out=lhs).sum(axis=1)
     scale = max(float(norms.max()), 1e-30)
     return {
         "site": i,
@@ -386,7 +395,7 @@ def ld_decay_residual(family: TruncatedFamily, level: int) -> dict:
         "max_abs_error": float(err.max()),
         "max_relative_error": float(err.max() / scale),
         "lhs_norms": norms,
-        "below_norms": np.abs(below).sum(axis=1),
+        "below_norms": below_norms,
     }
 
 
@@ -517,23 +526,34 @@ def semigroup_solve(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMe
     chance p.  The value so far stays with weight 1 - p; the overwrite of
     the tail carries weight G = E[y^N; N >= 1] on d and p - G on b, where N
     is the site's line count."""
+    return next(semigroup_path(cfg, omega0, (t,)))
+
+
+def semigroup_path(cfg: SiteConfig, omega0: Measure, times: Iterable[float]):
+    """Yield semigroup_solve at each of the times in turn, all from one
+    duality chain, which is built at the first positive time."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
-    if t < 0:
+    times = list(times)
+    if any(t < 0 for t in times):
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return ProbabilityMeasure(omega0.sites, omega0.values)
-    chain = _DualityChain(cfg, omega0)
-    resets = cfg.resetting_rates()
-    acc = chain.start(yule_pgf(cfg.s, t, chain.y))
-    for i in chain.order[1:]:
-        rho = cfg.rho_of(i)
-        if rho == 0.0:
+    chain = None
+    for t in times:
+        if t == 0.0:
+            yield ProbabilityMeasure(omega0.sites, omega0.values)
             continue
-        p = 1.0 - math.exp(-rho * t)
-        G = _started_mass_pgf(cfg.s, rho, float(resets[i - 1]), t, chain.y)
-        acc = (1.0 - p) * acc + chain.overwrite(acc, i, p - G, G)
-    return ProbabilityMeasure(cfg.sites, acc / acc.sum())
+        if chain is None:
+            chain = _DualityChain(cfg, omega0)
+            resets = cfg.resetting_rates()
+        acc = chain.start(yule_pgf(cfg.s, t, chain.y))
+        for i in chain.order[1:]:
+            rho = cfg.rho_of(i)
+            if rho == 0.0:
+                continue
+            p = 1.0 - math.exp(-rho * t)
+            G = _started_mass_pgf(cfg.s, rho, float(resets[i - 1]), t, chain.y)
+            acc = (1.0 - p) * acc + chain.overwrite(acc, i, p - G, G)
+        yield ProbabilityMeasure(cfg.sites, acc / acc.sum())
 
 
 # -- long-time limit ----------------------------------------------------------

@@ -219,6 +219,9 @@ EXAMPLE = json.loads(
 )
 
 
+ONE_SITE = {"n": 1, "i_star": 1, "rho": [0.0], "initial": {"vector": [0.4, 0.6]}}
+
+
 @pytest.mark.parametrize(
     "argv, overrides, code, message",
     [
@@ -226,13 +229,22 @@ EXAMPLE = json.loads(
         (["solve", "--method", "ode"], {"t_max": 20.0, "grid_steps": 2}, 0, ""),
         (["asymptotics"], {"grid_steps": 2}, 0, ""),
         (["verify"], {"grid_steps": 2}, 2, "increase grid_steps"),
+        *(
+            (argv, overrides, 0, "")
+            for overrides in (ONE_SITE, {"rho": [0.0, 0.0, 0.0]})
+            for argv in (["ld"], ["verify"], ["solve", "--method", "all"])
+        ),
     ],
-    ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2"],
+    ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2",
+         "ld-n-1", "verify-n-1", "solve-all-n-1",
+         "ld-rates-0", "verify-rates-0", "solve-all-rates-0"],
 )
 def test_edge_configs_exit_codes(tmp_path, capsys, argv, overrides, code, message):
     # the example model at edge settings: ld fits no rate at t_max 0, the
     # ODE halves its step until it converges, asymptotics needs no ODE, and
-    # the recursion refuses a grid whose half-grid reference is one step
+    # the recursion refuses a grid whose half-grid reference is one step.
+    # With one site the recursion has no level above the selection flow and
+    # ld no residual; with every rate 0 each level repeats the one below.
     cfgp = tmp_path / "edge.json"
     cfgp.write_text(json.dumps({**EXAMPLE, **overrides}))
     out = tmp_path / "run"
@@ -414,10 +426,9 @@ def test_dual_memory_bounded_at_twelve_sites(tmp_path):
     assert peak_kb < 600 * 1024
 
 
-def test_solve_memory_bounded_at_twelve_sites(tmp_path):
-    # the recursion's half-grid check keeps only its last level and the ODE
-    # one trajectory at a time: with every coarse level and two trajectories
-    # kept, such a run peaked at about 119 MB
+def _twelve_site_peak_kb(tmp_path, argv, grid_steps):
+    """Exit code and peak RSS (kB) of one CLI child on a fixed 12-site
+    model with the given grid."""
     rng = np.random.default_rng(1212)
     n, i_star = 12, 7
     rho = rng.uniform(0.05, 0.4, n)
@@ -426,13 +437,30 @@ def test_solve_memory_bounded_at_twelve_sites(tmp_path):
     cfgp = write_config(
         tmp_path, n=n, i_star=i_star, rho=rho.tolist(),
         initial={"vector": (initial / initial.sum()).tolist()}, t_max=1.0,
-        grid_steps=128, quad_tol=1e-5, agreement_tol=1e-4,
+        grid_steps=grid_steps, quad_tol=1e-5, agreement_tol=1e-4,
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, "solve", "--method", "all",
+        [sys.executable, "-c", _PEAK_RSS, *argv,
          "--config", str(cfgp), "--out", str(tmp_path / "run")],
         capture_output=True, text=True, check=True,
     )
     code, peak_kb = map(int, proc.stdout.split()[-2:])
+    return code, peak_kb
+
+
+def test_solve_memory_bounded_at_twelve_sites(tmp_path):
+    # the recursion holds two levels at a time and the ODE one trajectory:
+    # with the whole level list kept, such a run peaked at about 94 MB
+    code, peak_kb = _twelve_site_peak_kb(tmp_path, ["solve", "--method", "all"], 128)
     assert code == 0
-    assert peak_kb < 110 * 1024
+    assert peak_kb < 75 * 1024
+
+
+def test_ld_memory_bounded_at_twelve_sites(tmp_path):
+    # the level residuals are taken while a level and the one below it are
+    # held, so the 12 levels of 513 x 4096 floats (17 MB each) are never
+    # all alive: with the whole level list kept, such a run peaked at
+    # about 320 MB
+    code, peak_kb = _twelve_site_peak_kb(tmp_path, ["ld"], 512)
+    assert code == 0
+    assert peak_kb < 150 * 1024

@@ -23,6 +23,7 @@ from selrec import (
     integrate_ode,
     l1_distance,
     ld_decay_residual,
+    ld_decay_residuals,
     linkage_disequilibrium,
     logistic_fit_fraction,
     marginal_sre_solve,
@@ -30,6 +31,7 @@ from selrec import (
     recombinator,
     recursive_solve,
     selection_flow,
+    semigroup_path,
     semigroup_solve,
     spawn_stream,
     sre_rhs,
@@ -38,7 +40,7 @@ from selrec import (
     ypir_stationary,
 )
 from selrec.measure import Split
-from selrec.solvers import _cumulative_trapezoid, make_rhs
+from selrec.solvers import _cumulative_trapezoid, _recursion_levels, grid_index, make_rhs
 
 
 def random_prob(sites, rng):
@@ -54,6 +56,14 @@ def random_cfg(rng, n_max=4, allow_zero_rho=True):
     rho = [float(rng.uniform(lo, 2.0)) for _ in range(n)]
     rho[i_star - 1] = 0.0
     return SiteConfig(n=n, i_star=i_star, s=s, rho=tuple(rho))
+
+
+def levels_of(cfg, nu, settings, permutation=None):
+    """Every level of the recursion on the settings' grid, with the grid
+    and the site order."""
+    times = settings.grid()
+    perm = cfg.ordering(permutation)
+    return times, perm, list(_recursion_levels(cfg, nu, times, perm))
 
 
 # the initial vector of configs/example.json
@@ -285,38 +295,113 @@ def test_tail_only_recursion_level_matches_full_array_formula():
                     for i in range(1, n + 1))
         cfg = SiteConfig(n=n, i_star=i_star, s=0.8, rho=rho)
         nu = random_prob(cfg.sites, rng)
-        fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=128,
-                                                      quad_tol=1e-4))
-        times = fam.times
+        times, perm, levels = levels_of(
+            cfg, nu, SolverSettings(t_max=1.0, grid_steps=128, quad_tol=1e-4)
+        )
         for k in range(1, n):
-            i = fam.permutation[k]
+            i = perm[k]
             rate = cfg.rho_of(i)
             split = Split(cfg.sites, *cfg.head_tail(i))
-            prev = fam.levels[k - 1].values
+            prev = levels[k - 1]
             decay = np.exp(-rate * times)
             full = _cumulative_trapezoid((rate * decay)[:, None] * prev, times)
             expect = decay[:, None] * prev + split.product(split.head(prev), split.tail(full))
-            assert np.abs(fam.levels[k].values - expect).max() < 1e-14
+            assert np.abs(levels[k] - expect).max() < 1e-14
 
 
 def test_recursion_levels_degenerate_without_rate():
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.0, 0.0, 0.8))
     rng = spawn_stream(101, 7)
     nu = random_prob(cfg.sites, rng)
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512,
-                                                  quad_tol=1e-5))
+    _, _, levels = levels_of(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512,
+                                                     quad_tol=1e-5))
     # permutation (2, 1, 3): site 1 has rate zero, level 1 equals level 0
-    assert np.array_equal(fam.levels[1].values, fam.levels[0].values)
+    assert np.array_equal(levels[1], levels[0])
+
+
+def _residual_out_of_place(cfg, i, times, level, below):
+    # ld_decay_residual's formulas with a fresh array for every step
+    rate = cfg.rho_of(i)
+    split = Split(cfg.sites, *cfg.head_tail(i))
+
+    def deviation(W):
+        return W - split.product(split.head(W), split.tail(W))
+
+    lhs = deviation(level)
+    dev_below = deviation(below)
+    rhs = np.exp(-rate * times)[:, None] * dev_below
+    norms = np.abs(lhs).sum(axis=1)
+    err = np.abs(lhs - rhs).sum(axis=1)
+    return {
+        "site": i,
+        "rate": rate,
+        "max_abs_error": float(err.max()),
+        "max_relative_error": float(err.max() / max(float(norms.max()), 1e-30)),
+        "lhs_norms": norms,
+        "below_norms": np.abs(dev_below).sum(axis=1),
+    }
+
+
+def test_streamed_walk_equals_the_level_list_bit_for_bit():
+    # the solution and every residual of the one-pass walk against the same
+    # quantities from the full list of levels, on random models with n <= 8,
+    # a zero-rate crossover site and n = 1 (no residuals)
+    rng = spawn_stream(101, 44)
+    cfgs = [random_cfg(rng, n_max=8) for _ in range(6)]
+    cfgs += [SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3)),
+             SiteConfig(n=1, i_star=1, s=0.6, rho=(0.0,))]
+    for cfg in cfgs:
+        nu = random_prob(cfg.sites, rng)
+        settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
+        times, perm, levels = levels_of(cfg, nu, settings)
+        # a yielded level is never written again by the walk
+        copies = [lv.copy() for lv in _recursion_levels(cfg, nu, times, perm)]
+        assert all(np.array_equal(a, b) for a, b in zip(levels, copies))
+        for k in range(1, cfg.n):
+            # the level with a fresh array for decay * below + product
+            i, prev = perm[k], levels[k - 1]
+            rate = cfg.rho_of(i)
+            if rate != 0.0:
+                split = Split(cfg.sites, *cfg.head_tail(i))
+                decay = np.exp(-rate * times)
+                integ = _cumulative_trapezoid((rate * decay)[:, None] * split.tail(prev), times)
+                prev = decay[:, None] * prev + split.product(split.head(prev), integ)
+            assert np.array_equal(levels[k], prev)
+
+        rec = recursive_solve(cfg, nu, settings)
+        sol, residuals = ld_decay_residuals(cfg, nu, settings)
+        assert np.array_equal(rec.values, levels[-1])
+        assert np.array_equal(sol.values, levels[-1])
+        assert np.array_equal(rec.times, times) and rec.sites == cfg.sites
+        assert len(residuals) == cfg.n - 1
+        for k, got in enumerate(residuals, start=1):
+            args = (cfg, perm[k], times, levels[k], levels[k - 1])
+            for expect in (ld_decay_residual(*args), _residual_out_of_place(*args)):
+                assert got.keys() == expect.keys()
+                for key, value in expect.items():
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(got[key], value), (cfg, k, key)
+                    else:
+                        assert got[key] == value, (cfg, k, key)
+        if any(cfg.rho_of(i) == 0.0 for i in cfg.crossover_sites):
+            k = next(k for k in range(1, cfg.n) if cfg.rho_of(perm[k]) == 0.0)
+            assert np.array_equal(levels[k], levels[k - 1])
+
+
+def test_linkage_disequilibrium_needs_a_crossover_site():
+    cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.6, 0.0, 0.4))
+    with pytest.raises(ValueError):
+        linkage_disequilibrium(cfg, 2, uniform(cfg.sites))
 
 
 def test_recursion_initial_condition_every_level():
     cfg = SiteConfig(n=3, i_star=1, s=0.7, rho=(0.0, 0.5, 0.9))
     rng = spawn_stream(101, 8)
     nu = random_prob(cfg.sites, rng)
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=256,
-                                                  quad_tol=1e-5))
-    for lev in fam.levels:
-        assert np.allclose(lev.values[0], nu.values, atol=1e-14)
+    _, _, levels = levels_of(cfg, nu, SolverSettings(t_max=1.0, grid_steps=256,
+                                                     quad_tol=1e-5))
+    for lev in levels:
+        assert np.allclose(lev[0], nu.values, atol=1e-14)
 
 
 def test_recursion_matches_ode():
@@ -327,10 +412,10 @@ def test_recursion_matches_ode():
         t = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         fine = SolverSettings(t_max=t, grid_steps=int(4000 * max(1.0, t)),
                               quad_tol=1e-6)
-        fam = recursive_solve(cfg, nu, fine)
+        rec = recursive_solve(cfg, nu, fine)
         ode = integrate_ode(cfg, nu, SolverSettings(t_max=t, grid_steps=512,
                                                     quad_tol=1e-9))
-        assert l1_distance(fam.solution.final(), ode.final()) < 1e-6
+        assert l1_distance(rec.final(), ode.final()) < 1e-6
 
 
 def test_recursion_permutation_invariant():
@@ -338,9 +423,9 @@ def test_recursion_permutation_invariant():
     rng = spawn_stream(101, 10)
     nu = random_prob(cfg.sites, rng)
     st = SolverSettings(t_max=1.0, grid_steps=4000, quad_tol=1e-6)
-    sol1 = recursive_solve(cfg, nu, st, permutation=(2, 1, 3, 4)).solution.final()
-    sol2 = recursive_solve(cfg, nu, st, permutation=(2, 3, 1, 4)).solution.final()
-    sol3 = recursive_solve(cfg, nu, st, permutation=(2, 3, 4, 1)).solution.final()
+    sol1 = recursive_solve(cfg, nu, st, permutation=(2, 1, 3, 4)).final()
+    sol2 = recursive_solve(cfg, nu, st, permutation=(2, 3, 1, 4)).final()
+    sol3 = recursive_solve(cfg, nu, st, permutation=(2, 3, 4, 1)).final()
     assert l1_distance(sol1, sol2) < 1e-8
     assert l1_distance(sol1, sol3) < 1e-8
 
@@ -350,8 +435,8 @@ def test_default_settings_pass_the_recursion_grid_check():
     # steps can meet (about 1.5e-7 here); 1e-8 raised GridTooCoarseError
     cfg = SiteConfig(n=2, i_star=1, s=0.8, rho=(0.0, 0.6))
     nu = product_measure(cfg.sites, [0.5, 0.7])
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0))
-    assert fam.final_probability().sites == cfg.sites
+    rec = recursive_solve(cfg, nu, SolverSettings(t_max=1.0))
+    assert rec.final_probability().sites == cfg.sites
 
 
 def test_recursion_rejects_invalid_permutation():
@@ -415,6 +500,21 @@ def test_semigroup_matches_ode():
                 assert l1_distance(got, ode.final()) < 1e-5
 
 
+def test_semigroup_path_equals_one_solve_per_time():
+    # one duality chain for every time gives the bits of a solve per time
+    rng = spawn_stream(101, 45)
+    for _ in range(4):
+        cfg = random_cfg(rng, n_max=6)
+        nu = random_prob(cfg.sites, rng)
+        times = [0.0, 0.25, 1.0, 0.0, 3.5]
+        got = list(semigroup_path(cfg, nu, times))
+        assert len(got) == len(times)
+        for t, m in zip(times, got):
+            assert np.array_equal(m.values, semigroup_solve(cfg, nu, t).values)
+    with pytest.raises(ValueError):
+        list(semigroup_path(cfg, nu, [1.0, -0.5]))
+
+
 def test_semigroup_without_selection():
     rng = spawn_stream(101, 15)
     cfg = SiteConfig(n=2, i_star=1, s=0.0, rho=(0.0, 0.9))
@@ -433,10 +533,11 @@ def test_ld_zero_for_product_initial():
     # exactly zero in the dynamics; numerically bounded by the grid error
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.6, 0.0, 0.4))
     nu = product_measure((1, 2, 3), [0.3, 0.5, 0.8])
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=4000,
-                                                  quad_tol=1e-6))
+    times, perm, levels = levels_of(cfg, nu, SolverSettings(t_max=1.0, grid_steps=4000,
+                                                            quad_tol=1e-6))
+    j = grid_index(times, 1.0)
     for level in (1, 2):
-        ld = linkage_disequilibrium(fam, level, 1.0)
+        ld = linkage_disequilibrium(cfg, perm[level], Measure(cfg.sites, levels[level][j]))
         assert np.abs(ld.values).max() < 1e-9
 
 
@@ -444,12 +545,13 @@ def test_ld_initial_value():
     rng = spawn_stream(101, 16)
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.6, 0.0, 0.4))
     nu = random_prob(cfg.sites, rng)
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=256,
-                                                  quad_tol=1e-5))
+    times, perm, levels = levels_of(cfg, nu, SolverSettings(t_max=1.0, grid_steps=256,
+                                                            quad_tol=1e-5))
+    j = grid_index(times, 0.0)
     for level in (1, 2):
-        i = fam.permutation[level]
+        i = perm[level]
         expect = nu.sub(recombinator(nu, *cfg.head_tail(i)))
-        got = linkage_disequilibrium(fam, level, 0.0)
+        got = linkage_disequilibrium(cfg, i, Measure(cfg.sites, levels[level][j]))
         assert np.allclose(got.values, expect.values, atol=1e-12)
 
 
@@ -460,10 +562,11 @@ def test_ld_exponential_decay_identity():
         if cfg.n == 1:
             continue
         nu = random_prob(cfg.sites, rng)
-        fam = recursive_solve(cfg, nu, SolverSettings(t_max=2.0, grid_steps=2000,
-                                                      quad_tol=1e-6))
-        for level in range(1, cfg.n):
-            res = ld_decay_residual(fam, level)
+        _, residuals = ld_decay_residuals(
+            cfg, nu, SolverSettings(t_max=2.0, grid_steps=2000, quad_tol=1e-6)
+        )
+        assert len(residuals) == cfg.n - 1
+        for level, res in enumerate(residuals, start=1):
             assert res["max_relative_error"] < 1e-4, (cfg, level)
 
 
@@ -471,10 +574,11 @@ def test_ld_norm_ratio_is_exponential():
     rng = spawn_stream(101, 18)
     cfg = SiteConfig(n=3, i_star=1, s=0.8, rho=(0.0, 0.7, 1.1))
     nu = random_prob(cfg.sites, rng)
-    fam = recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=2000,
-                                                  quad_tol=1e-6))
-    res = ld_decay_residual(fam, 1)
-    j = fam.index_of_time(1.0)
+    rec, residuals = ld_decay_residuals(
+        cfg, nu, SolverSettings(t_max=1.0, grid_steps=2000, quad_tol=1e-6)
+    )
+    res = residuals[0]
+    j = rec.index_of_time(1.0)
     ratio = res["lhs_norms"][j] / res["below_norms"][j]
     assert ratio == pytest.approx(math.exp(-0.7), abs=1e-5)
 
