@@ -100,7 +100,11 @@ def cmd_solve(args) -> int:
     solved: dict[str, Trajectory] = {}
     runtimes: dict[str, float] = {}
     wanted = ("ode", "recursion", "semigroup") if method == "all" else (method,)
-    times = exp.output_times or _comparison_times(exp.settings)
+    times = exp.output_times
+    if times is None:
+        times = _comparison_times(exp.settings)
+    # every method runs before any file is written, so a failing solver
+    # leaves no partial output beside an earlier run's files
     for name in wanted:
         tic = time.perf_counter()
         if name == "ode":
@@ -112,14 +116,19 @@ def cmd_solve(args) -> int:
             vals = [m.values for m in semigroup_path(exp.cfg, exp.omega0, times)]
             traj = Trajectory(np.asarray(times), exp.cfg.sites, np.vstack(vals))
         runtimes[name] = time.perf_counter() - tic
-        solved[name] = traj
+        # only the rows at times outlive the solver: a full grid array
+        # goes before the next method runs
+        solved[name] = traj.at_times(times)
+        del traj
+    for name, traj in solved.items():
         _write_trajectory_csv(out / f"solve_{name}.csv", exp, traj)
     meta["runtimes_seconds"] = runtimes
     if method == "all":
         table = []
-        for t in times:
+        # row j of every trajectory in solved is its row at times[j]
+        for j, t in enumerate(times):
             row = {"t": t}
-            vals = {name: solved[name].at_time(t).values for name in wanted}
+            vals = {name: solved[name].values[j] for name in wanted}
             for a, b in (("ode", "recursion"), ("ode", "semigroup"),
                          ("recursion", "semigroup")):
                 row[f"l1_{a}_{b}"] = float(np.abs(vals[a] - vals[b]).sum())

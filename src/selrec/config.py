@@ -110,6 +110,11 @@ class ExperimentConfig:
         times = raw.get("output_times")
         if times is not None:
             times = [float(t) for t in times]
+            if not times:
+                raise ConfigError(
+                    "output_times is empty: give at least one time, or null "
+                    "for the comparison times"
+                )
             if any(t < 0 or t > settings.t_max + 1e-12 for t in times):
                 raise ConfigError("output_times must lie in [0, t_max]")
             grid = settings.grid()

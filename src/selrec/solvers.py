@@ -107,13 +107,19 @@ class Trajectory:
         v = self.values[-1]
         return ProbabilityMeasure(self.sites, v / v.sum())
 
+    def at_times(self, times) -> "Trajectory":
+        """The rows at the grid points of times, in their order: a copy, so
+        the full array can be dropped.  Grid times and mass drift are kept,
+        so a row written from it is the full trajectory's row."""
+        idx = [self.index_of_time(t) for t in times]
+        return Trajectory(self.times[idx], self.sites, self.values[idx], self.mass_drift)
+
     def column_labels(self) -> list[str]:
+        # character j of a label is bit j of the index: the j-th site's letter
         k = len(self.sites)
-        out = []
-        for idx in range(2 ** k):
-            bits = "".join(str((idx >> j) & 1) for j in range(k))
-            out.append(f"p_{bits}" if k else "p_")
-        return out
+        if not k:
+            return ["p_"]
+        return ["p_" + format(idx, f"0{k}b")[::-1] for idx in range(2 ** k)]
 
     def write_csv(self, fh) -> None:
         fh.write("t," + ",".join(self.column_labels()) + "\n")

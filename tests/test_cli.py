@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from selrec.cli import main
+from selrec.config import ExperimentConfig
+from selrec.solvers import SolverError, integrate_ode, recursive_solve
 
 BASE = {
     "n": 2,
@@ -53,6 +56,87 @@ def test_solve_all_methods_agree(tmp_path):
     assert meta["max_pairwise_l1"] <= BASE["agreement_tol"]
     for name in ("solve_ode.csv", "solve_recursion.csv", "solve_semigroup.csv"):
         assert (out / name).exists()
+
+
+def _full_grid_lines(cfgp):
+    """Body lines (column header and rows) of the ODE and recursion
+    trajectories on the whole grid, as Trajectory.write_csv writes them."""
+    exp = ExperimentConfig.from_file(cfgp)
+    lines = {}
+    for name, solve in (("ode", integrate_ode), ("recursion", recursive_solve)):
+        fh = io.StringIO()
+        solve(exp.cfg, exp.omega0, exp.settings).write_csv(fh)
+        lines[name] = fh.getvalue().splitlines()
+    return exp.settings.grid(), lines
+
+
+def _solve_all(cfgp, out):
+    assert main(["solve", "--config", str(cfgp), "--out", str(out), "--method", "all"]) == 0
+    return {name: (out / f"solve_{name}.csv").read_text().splitlines()
+            for name in ("ode", "recursion", "semigroup")}
+
+
+def test_solve_writes_the_comparison_rows_of_the_full_grid(tmp_path):
+    cfgp = write_config(tmp_path)
+    csvs = _solve_all(cfgp, tmp_path / "run")
+    grid, full = _full_grid_lines(cfgp)
+    steps = BASE["grid_steps"]
+    rows = [0, steps // 4, steps // 2, 3 * steps // 4, steps]
+    for name, lines in csvs.items():
+        assert lines[0].startswith("# selrec") and lines[1].startswith("# sites")
+        assert len(lines) == 3 + len(rows)
+        assert [float(r.split(",")[0]) for r in lines[3:]] == [grid[j] for j in rows]
+    for name in ("ode", "recursion"):
+        assert csvs[name][2:] == [full[name][0]] + [full[name][1 + j] for j in rows]
+
+
+def test_solve_at_every_grid_time_writes_the_full_grid(tmp_path):
+    cfgp = write_config(tmp_path)
+    grid, full = _full_grid_lines(cfgp)
+    cfgp = write_config(tmp_path, output_times=grid.tolist())
+    out = tmp_path / "run"
+    csvs = _solve_all(cfgp, out)
+    for name in ("ode", "recursion"):
+        text = (out / f"solve_{name}.csv").read_text()
+        header = "".join(line + "\n" for line in csvs[name][:2])
+        assert text == header + "".join(line + "\n" for line in full[name])
+        assert len(csvs[name]) == 3 + BASE["grid_steps"] + 1
+    assert len(csvs["semigroup"]) == 3 + BASE["grid_steps"] + 1
+
+
+def test_solve_writes_output_times_in_their_order(tmp_path):
+    times = [0.375, 0.09375]
+    cfgp = write_config(tmp_path, output_times=times)
+    out = tmp_path / "run"
+    csvs = _solve_all(cfgp, out)
+    grid, full = _full_grid_lines(cfgp)
+    rows = [int(np.argmin(np.abs(grid - t))) for t in times]
+    for name, lines in csvs.items():
+        assert [float(r.split(",")[0]) for r in lines[3:]] == times
+    for name in ("ode", "recursion"):
+        assert csvs[name][3:] == [full[name][1 + j] for j in rows]
+    meta = json.loads((out / "solve_meta.json").read_text())
+    assert [row["t"] for row in meta["pairwise_l1"]] == times
+
+
+def test_failing_solver_leaves_no_solve_output(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("recursion failed on purpose")
+
+    monkeypatch.setattr("selrec.cli.recursive_solve", fail)
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfgp), "--out", str(out), "--method", "all"]) == 2
+    assert "recursion failed on purpose" in capsys.readouterr().err
+    assert not list(out.glob("solve_*"))
+
+
+def test_empty_output_times_refused(tmp_path, capsys):
+    cfgp = write_config(tmp_path, output_times=[])
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfgp), "--out", str(out), "--method", "all"]) == 1
+    assert "null" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dual_estimates_within_threshold(tmp_path):

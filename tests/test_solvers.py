@@ -13,6 +13,7 @@ from selrec import (
     ProbabilityMeasure,
     SiteConfig,
     SolverSettings,
+    Trajectory,
     asymptotic_limit,
     cond_fit,
     cond_unfit,
@@ -749,3 +750,25 @@ def test_naive_marginal_fails_away_from_selected_site():
     naive = nu.project({2})
     true = traj.final().project({2})
     assert l1_distance(true, naive) > 1e-3
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_column_labels_equal_the_per_bit_construction(k):
+    traj = Trajectory([0.0], tuple(range(1, k + 1)), np.zeros((1, 2 ** k)))
+    per_bit = [
+        "p_" + "".join(str((idx >> j) & 1) for j in range(k)) for idx in range(2 ** k)
+    ]
+    assert traj.column_labels() == per_bit
+
+
+def test_at_times_copies_the_grid_rows_in_order():
+    traj = Trajectory(np.linspace(0.0, 1.0, 9), (1, 2), np.arange(36.0).reshape(9, 4),
+                      mass_drift=3e-15)
+    # 0.25 + 1e-12 lies on the grid point 0.25 within grid_index's tolerance
+    sub = traj.at_times([0.75, 0.25 + 1e-12, 0.0])
+    assert sub.times.tolist() == [0.75, 0.25, 0.0]
+    assert np.array_equal(sub.values, traj.values[[6, 2, 0]])
+    assert sub.sites == traj.sites and sub.mass_drift == traj.mass_drift
+    assert not np.shares_memory(sub.values, traj.values)
+    with pytest.raises(ValueError, match="not on the solver grid"):
+        traj.at_times([0.3])
