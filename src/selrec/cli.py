@@ -20,11 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .duals import (
-    duality_check,
-    mc_solution_estimate,
-    _canonical_start,
-)
+from .duals import _FLAVORS, _canonical_start, _duality_function, _flavor_estimates
 from .measure import Measure, ProbabilityMeasure, boxtimes, l1_distance
 from .moran import lln_convergence
 from .partitions import decode, encode
@@ -149,19 +145,13 @@ def cmd_dual(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else exp.seed
     replicates = args.replicates or exp.replicates
-    flavors = (
-        ("counts", "partition", "runtimes")
-        if exp.dual_flavor == "all"
-        else (exp.dual_flavor,)
-    )
+    flavors = _FLAVORS if exp.dual_flavor == "all" else (exp.dual_flavor,)
     t = exp.settings.t_max
     reference = semigroup_solve(exp.cfg, exp.omega0, t)
     results = {}
     worst = 0.0
-    for flavor in flavors:
-        est = mc_solution_estimate(
-            exp.cfg, exp.omega0, t, replicates, seed, flavor=flavor
-        )
+    estimates = _flavor_estimates(exp.cfg, exp.omega0, t, replicates, seed, flavors)
+    for flavor, est in estimates.items():
         z = est.z_scores(reference)
         worst = max(worst, float(np.max(np.abs(z))))
         results[flavor] = {
@@ -376,20 +366,21 @@ def _check_selection_duality(exp: ExperimentConfig) -> dict:
 
 
 def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
-    """Duality checks of the three flavors, then solution estimates of the
-    three flavors, each against the closed form at the same time."""
+    """Duality checks, then solution estimates, of the three flavors against
+    the closed form at one time.  Each sampler draws once per seed: the
+    partition entries take the counts draws, and the partition duality
+    check keeps its own forward side, `duality_partition`."""
+    cfg = exp.cfg
     t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
     reps = min(replicates, 50_000)
-    flavors = ("counts", "partition", "runtimes")
+    reference = semigroup_solve(cfg, exp.omega0, t)
+    forward = {f: _duality_function(cfg, _canonical_start(cfg, f), reference) for f in _FLAVORS}
     z = {}
-    for flavor in flavors:
-        start = _canonical_start(exp.cfg, flavor)
-        rep = duality_check(exp.cfg, exp.omega0, start, t, reps, seed + 7)
-        z[f"duality_mc_{flavor}"] = float(rep.max_abs_z)
-    reference = semigroup_solve(exp.cfg, exp.omega0, t)
-    for flavor in flavors:
-        est = mc_solution_estimate(exp.cfg, exp.omega0, t, reps, seed + 13, flavor=flavor)
-        z[f"solution_mc_{flavor}"] = float(np.max(np.abs(est.z_scores(reference))))
+    for check, offset in (("duality_mc", 7), ("solution_mc", 13)):
+        estimates = _flavor_estimates(cfg, exp.omega0, t, reps, seed + offset, _FLAVORS)
+        for flavor, est in estimates.items():
+            target = forward[flavor] if check == "duality_mc" else reference
+            z[f"{check}_{flavor}"] = float(np.max(np.abs(est.z_scores(target))))
     return [
         {"name": name, "passed": bool(v <= exp.z_threshold), "max_abs_z": v,
          "replicates": reps, "tolerance": exp.z_threshold}

@@ -15,7 +15,7 @@ solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -555,6 +555,15 @@ def duality_runtimes(
     return ProbabilityMeasure(acc.sites, acc.values)
 
 
+def _duality_function(cfg: SiteConfig, start, nu: Measure) -> ProbabilityMeasure:
+    """The duality function of the start's picture, evaluated at nu."""
+    if isinstance(start, WeightedPartition):
+        return duality_partition(cfg, start, nu)
+    if isinstance(start, InitiationState):
+        return duality_runtimes(cfg, start, nu)
+    return duality_counts(cfg, start, nu)
+
+
 # -- Monte Carlo representation --------------------------------------------------
 
 # Replicates are drawn in blocks of this many, block b from stream (seed, b),
@@ -571,9 +580,9 @@ class _MixtureEvaluator(_DualityChain):
     from (1 - g)*b + g*d with the selected site's unfit weight g, then
     overwritten at each further started site, outward, with that site's
     weight.  This is the overwrite product of `duality_counts` done
-    row-wise.  The partition picture gives the same values: the part of a
-    tail that no later factor overwrites is the block its started site
-    anchors.
+    row-wise.  The partition picture needs no evaluator of its own: the
+    part of a tail that no later factor overwrites is the block its started
+    site anchors, so its values are those of its `encode`d counts.
     """
 
     def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
@@ -599,24 +608,27 @@ class _MixtureEvaluator(_DualityChain):
             rows[idx] = self.value(active, dweights[np.ix_(idx, cols)])
 
 
-_FLAVORS = ("counts", "partition", "runtimes")
+# The partition picture is the count picture under `encode`, so a partition
+# flavor draws the counts of its encoded start: two samplers, three flavors.
+_SAMPLERS = {"counts": "counts", "partition": "counts", "runtimes": "runtimes"}
+_FLAVORS = tuple(_SAMPLERS)
 
 
-def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor):
-    """Per-replicate duality values, handed back one block of rows at a
-    time.
+def _dual_rows(cfg, omega0, start, t, replicates, seed):
+    """Per-replicate duality values from a count vector or an
+    InitiationState start, handed back one block of rows at a time.
 
     The start and the line-count growth are checked before this returns;
     the dual state at time t is drawn exactly when its block is asked for.
-    The partition picture reuses the count draws of its encoding.
+    A partition start enters as its `encode`d counts.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    if flavor == "runtimes":
+    runtimes = isinstance(start, InitiationState)
+    if runtimes:
         start.require_selected_real(cfg)
     else:
-        counts = encode(start, cfg) if flavor == "partition" else np.asarray(start)
-        _check_count_growth(cfg, counts, t)
+        _check_count_growth(cfg, start, t)
     f0 = fit_fraction(omega0, cfg.i_star)
     mixer = _MixtureEvaluator(cfg, omega0)
 
@@ -624,12 +636,12 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed, flavor):
         for b, lo in enumerate(range(0, replicates, BLOCK)):
             rng = spawn_stream(seed, b)
             size = min(BLOCK, replicates - lo)
-            if flavor == "runtimes":
+            if runtimes:
                 theta = initiation_block_simulate(cfg, start, t, rng, size)
                 started = ~np.isnan(theta)
                 dweights = 1.0 - logistic_fit_fraction(cfg.s, f0, theta)
             else:
-                m = ypir_block_simulate(cfg, counts, t, rng, size)
+                m = ypir_block_simulate(cfg, start, t, rng, size)
                 started = m > 0
                 dweights = mixer.y ** m
             rows = np.empty((size, 1 << cfg.n))
@@ -704,14 +716,22 @@ def mc_solution_estimate(
     flavor: str = "counts",
 ) -> MCEstimate:
     """Estimate the solution at time t by averaging a duality function over
-    independent dual runs from the single-individual start."""
-    if flavor not in _FLAVORS:
+    independent dual runs from the single-individual start; the partition
+    flavor returns the counts draws."""
+    if flavor not in _SAMPLERS:
         raise ValueError(f"flavor must be one of {_FLAVORS}")
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
-    start = _canonical_start(cfg, flavor)
-    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
+    start = _canonical_start(cfg, _SAMPLERS[flavor])
+    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed)
     return _estimate(cfg, blocks, flavor, seed)
+
+
+def _flavor_estimates(cfg, omega0, t, replicates, seed, flavors) -> dict[str, MCEstimate]:
+    """mc_solution_estimate of each flavor, with each sampler run once."""
+    drawn = {s: mc_solution_estimate(cfg, omega0, t, replicates, seed, s)
+             for s in dict.fromkeys(_SAMPLERS[f] for f in flavors)}
+    return {f: replace(drawn[_SAMPLERS[f]], flavor=f) for f in flavors}
 
 
 @dataclass
@@ -755,21 +775,14 @@ def duality_check(
     the time-t dual state, over the initial measure.
     """
     if isinstance(start, WeightedPartition):
-        flavor = "partition"
+        flavor, drawn = "partition", encode(start, cfg)
     elif isinstance(start, InitiationState):
-        flavor = "runtimes"
+        flavor, drawn = "runtimes", start
     else:
-        start = _validate_counts(cfg, start)
-        flavor = "counts"
+        flavor, drawn = "counts", _validate_counts(cfg, start)
     # checks the start before the forward solve; draws come when estimated
-    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed, flavor)
-    omega_t = semigroup_solve(cfg, omega0, t)
-    if flavor == "counts":
-        lhs = duality_counts(cfg, start, omega_t)
-    elif flavor == "partition":
-        lhs = duality_partition(cfg, start, omega_t)
-    else:
-        lhs = duality_runtimes(cfg, start, omega_t)
+    blocks = _dual_rows(cfg, omega0, drawn, t, replicates, seed)
+    lhs = _duality_function(cfg, start, semigroup_solve(cfg, omega0, t))
     est = _estimate(cfg, blocks, flavor, seed)
     z = est.z_scores(lhs)
     return DualityReport(

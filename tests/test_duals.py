@@ -815,8 +815,15 @@ def test_mc_estimate_all_flavors_against_ode():
         assert np.max(np.abs(z)) < 3.0, flavor
 
 
-def _stacked_rows(cfg, nu, start, t, replicates, seed, flavor):
-    return np.concatenate(list(_dual_rows(cfg, nu, start, t, replicates, seed, flavor)))
+def _stacked_rows(cfg, nu, start, t, replicates, seed):
+    return np.concatenate(list(_dual_rows(cfg, nu, start, t, replicates, seed)))
+
+
+def _drawn_start(cfg, flavor):
+    # the start whose draws the flavor's sampler takes: a partition enters
+    # as its encoded counts
+    start = _canonical_start(cfg, flavor)
+    return encode(start, cfg) if flavor == "partition" else start
 
 
 def test_mc_estimate_repeat_runs_identical():
@@ -841,7 +848,7 @@ def test_streamed_moments_match_two_pass_reduction():
     rtol = reps * np.finfo(float).eps
     for flavor in ("counts", "partition", "runtimes"):
         est = mc_solution_estimate(cfg, nu, 0.7, replicates=reps, seed=359, flavor=flavor)
-        rows = _stacked_rows(cfg, nu, _canonical_start(cfg, flavor), 0.7, reps, 359, flavor)
+        rows = _stacked_rows(cfg, nu, _drawn_start(cfg, flavor), 0.7, reps, 359)
         mean = np.array([math.fsum(col) / reps for col in rows.T])
         m2 = np.array([math.fsum(np.square(col - mu)) for col, mu in zip(rows.T, mean)])
         assert est.replicates == reps
@@ -854,9 +861,9 @@ def test_dual_rows_extend_block_by_block():
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = random_prob((1, 2, 3), spawn_stream(349, 0))
     for flavor in ("counts", "partition", "runtimes"):
-        start = _canonical_start(cfg, flavor)
-        full = _stacked_rows(cfg, nu, start, 0.7, BLOCK, 349, flavor)
-        more = _stacked_rows(cfg, nu, start, 0.7, BLOCK + 1, 349, flavor)
+        start = _drawn_start(cfg, flavor)
+        full = _stacked_rows(cfg, nu, start, 0.7, BLOCK, 349)
+        more = _stacked_rows(cfg, nu, start, 0.7, BLOCK + 1, 349)
         assert np.array_equal(full, more[:BLOCK])
 
 
@@ -880,7 +887,7 @@ def _check_rows_against_duality_functions(cfg):
     theta = initiation_block_simulate(
         cfg, InitiationState.initial(cfg), t, spawn_stream(353, 0), reps
     )
-    rows = {f: _stacked_rows(cfg, nu, _canonical_start(cfg, f), t, reps, 353, f)
+    rows = {f: _stacked_rows(cfg, nu, _drawn_start(cfg, f), t, reps, 353)
             for f in ("counts", "partition", "runtimes")}
     for r in range(reps):
         states = {
