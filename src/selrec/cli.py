@@ -20,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .duals import _FLAVORS, _canonical_start, _duality_function, _flavor_estimates
+from .duals import (
+    _FLAVORS,
+    _canonical_start,
+    _check_line_counts,
+    _duality_function,
+    _flavor_estimates,
+)
 from .measure import Measure, ProbabilityMeasure, boxtimes, l1_distance
 from .moran import lln_convergence
 from .partitions import decode, encode
@@ -68,6 +74,21 @@ def _write_trajectory_csv(path: Path, exp: ExperimentConfig, traj: Trajectory) -
         fh.write(f"# selrec {__version__} config {exp.config_hash}\n")
         fh.write(f"# sites {','.join(str(a) for a in traj.sites)}\n")
         traj.write_csv(fh)
+
+
+def _seed_and_replicates(args, exp: ExperimentConfig, field: str = "replicates",
+                         least: int = 1) -> tuple[int, int]:
+    """A Monte Carlo command's seed and replicate count: each flag when
+    given, else the config's field; refused when out of range."""
+    values = []
+    for flag, name, low in (("seed", "seed", 0), ("replicates", field, least)):
+        given = getattr(args, flag)
+        value = getattr(exp, name) if given is None else given
+        if value < low:
+            source = name if given is None else f"--{flag}"
+            raise ConfigError(f"{source} must be >= {low}, got {value}")
+        values.append(value)
+    return tuple(values)
 
 
 # -- solve ---------------------------------------------------------------
@@ -143,10 +164,10 @@ def cmd_solve(args) -> int:
 
 def cmd_dual(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
-    seed = args.seed if args.seed is not None else exp.seed
-    replicates = args.replicates or exp.replicates
+    seed, replicates = _seed_and_replicates(args, exp)
     flavors = _FLAVORS if exp.dual_flavor == "all" else (exp.dual_flavor,)
     t = exp.settings.t_max
+    _check_line_counts(exp.cfg, t, flavors)
     reference = semigroup_solve(exp.cfg, exp.omega0, t)
     results = {}
     worst = 0.0
@@ -180,8 +201,7 @@ def cmd_dual(args) -> int:
 
 def cmd_moran(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
-    seed = args.seed if args.seed is not None else exp.seed
-    replicates = args.replicates or exp.moran_replicates
+    seed, replicates = _seed_and_replicates(args, exp, "moran_replicates", least=2)
     report = lln_convergence(
         exp.cfg,
         exp.omega0,
@@ -365,13 +385,18 @@ def _check_selection_duality(exp: ExperimentConfig) -> dict:
     }
 
 
+def _mc_time(exp: ExperimentConfig) -> float:
+    """The time of verify's Monte Carlo checks."""
+    return min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
+
+
 def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
     """Duality checks, then solution estimates, of the three flavors against
     the closed form at one time.  Each sampler draws once per seed: the
     partition entries take the counts draws, and the partition duality
     check keeps its own forward side, `duality_partition`."""
     cfg = exp.cfg
-    t = min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
+    t = _mc_time(exp)
     reps = min(replicates, 50_000)
     reference = semigroup_solve(cfg, exp.omega0, t)
     forward = {f: _duality_function(cfg, _canonical_start(cfg, f), reference) for f in _FLAVORS}
@@ -430,8 +455,8 @@ def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     exp = ExperimentConfig.from_file(args.config)
-    seed = args.seed if args.seed is not None else exp.seed
-    replicates = args.replicates or exp.replicates
+    seed, replicates = _seed_and_replicates(args, exp)
+    _check_line_counts(exp.cfg, _mc_time(exp), _FLAVORS)
     # the forward problems on the config's own settings, shared by the checks
     ode = integrate_ode(exp.cfg, exp.omega0, exp.settings)
     # one pass of the recursion gives its solution and the level residuals

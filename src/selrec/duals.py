@@ -651,6 +651,13 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed):
     return blocks()
 
 
+def _check_line_counts(cfg: SiteConfig, t: float, flavors) -> None:
+    """Refuse, before any work, a time t at which a flavor drawing line
+    counts would draw them near int64 overflow."""
+    if any(_SAMPLERS[f] == "counts" for f in flavors):
+        _check_count_growth(cfg, _canonical_start(cfg, "counts"), t)
+
+
 def _canonical_start(cfg: SiteConfig, flavor: str):
     if flavor == "counts":
         m = np.zeros(cfg.n, dtype=np.int64)

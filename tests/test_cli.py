@@ -37,6 +37,20 @@ def write_config(tmp_path, name="exp.json", **overrides):
     return path
 
 
+def record_solver_calls(monkeypatch):
+    """Names of the forward solvers the CLI calls, in call order."""
+    import selrec.cli
+
+    calls = []
+    for name in ("integrate_ode", "ld_decay_residuals", "recursive_solve",
+                 "semigroup_solve", "semigroup_path", "lln_convergence"):
+        def wrapper(*args, _real=getattr(selrec.cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(selrec.cli, name, wrapper)
+    return calls
+
+
 def test_solve_ode_outputs(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "run"
@@ -313,6 +327,13 @@ ONE_SITE = {"n": 1, "i_star": 1, "rho": [0.0], "initial": {"vector": [0.4, 0.6]}
         (["solve", "--method", "ode"], {"t_max": 20.0, "grid_steps": 2}, 0, ""),
         (["asymptotics"], {"grid_steps": 2}, 0, ""),
         (["verify"], {"grid_steps": 2}, 2, "increase grid_steps"),
+        (["dual", "--replicates", "0"], {}, 1, "--replicates must be >= 1, got 0"),
+        (["verify"], {"replicates": 0}, 1, "replicates must be >= 1, got 0"),
+        (["moran", "--replicates", "1"], {}, 1, "--replicates must be >= 2, got 1"),
+        (["moran"], {"moran_replicates": 1}, 1, "moran_replicates must be >= 2, got 1"),
+        (["dual"], {"seed": -1}, 1, "seed must be >= 0, got -1"),
+        (["verify", "--seed", "-2"], {}, 1, "--seed must be >= 0, got -2"),
+        (["moran", "--seed", "-3"], {}, 1, "--seed must be >= 0, got -3"),
         *(
             (argv, overrides, 0, "")
             for overrides in (ONE_SITE, {"rho": [0.0, 0.0, 0.0]})
@@ -320,20 +341,29 @@ ONE_SITE = {"n": 1, "i_star": 1, "rho": [0.0], "initial": {"vector": [0.4, 0.6]}
         ),
     ],
     ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2",
+         "dual-replicates-flag-0", "verify-replicates-0", "moran-replicates-flag-1",
+         "moran-replicates-1", "dual-seed-negative", "verify-seed-flag-negative",
+         "moran-seed-flag-negative",
          "ld-n-1", "verify-n-1", "solve-all-n-1",
          "ld-rates-0", "verify-rates-0", "solve-all-rates-0"],
 )
-def test_edge_configs_exit_codes(tmp_path, capsys, argv, overrides, code, message):
+def test_edge_configs_exit_codes(tmp_path, capsys, monkeypatch, argv, overrides, code,
+                                 message):
     # the example model at edge settings: ld fits no rate at t_max 0, the
     # ODE halves its step until it converges, asymptotics needs no ODE, and
     # the recursion refuses a grid whose half-grid reference is one step.
     # With one site the recursion has no level above the selection flow and
     # ld no residual; with every rate 0 each level repeats the one below.
+    # A replicate count or seed out of range, from a flag or the config, is
+    # refused before any solver runs.
     cfgp = tmp_path / "edge.json"
     cfgp.write_text(json.dumps({**EXAMPLE, **overrides}))
     out = tmp_path / "run"
+    calls = record_solver_calls(monkeypatch)
     assert main([*argv, "--config", str(cfgp), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
+    if code == 1:
+        assert calls == []
 
 
 def test_ld_at_time_zero_writes_null_rates(tmp_path):
@@ -347,11 +377,48 @@ def test_ld_at_time_zero_writes_null_rates(tmp_path):
     assert all(row["fitted_rate"] is None for row in levels)
 
 
-def test_dual_refuses_overflowing_line_counts(tmp_path, capsys):
-    # s*t = 32 would push the sampled line counts towards 2^63
-    cfgp = write_config(tmp_path, s=4.0, t_max=8.0)
-    assert main(["dual", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 1
-    assert "exp(s*t)" in capsys.readouterr().err
+def test_dual_refuses_overflowing_line_counts(tmp_path, capsys, monkeypatch):
+    # s*t = 32 would push the sampled line counts towards 2^63; verify's
+    # Monte Carlo runs at min(1, t_max), so it needs s = 40 for s*t = 40
+    calls = record_solver_calls(monkeypatch)
+    for command, overrides in (("dual", {"s": 4.0, "t_max": 8.0}),
+                               ("verify", {"s": 40.0, "t_max": 1.0})):
+        cfgp = write_config(tmp_path, **overrides)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 1, command
+        assert "must stay below exp(30)" in capsys.readouterr().err, command
+        assert calls == [], command
+        assert not out.exists()
+
+
+def test_partition_flavor_reuses_the_counts_draws(tmp_path, monkeypatch):
+    # the partition picture is the count picture under encode, so each
+    # command draws the line counts once per seed; with replicates <= BLOCK
+    # one Monte Carlo run is one call of the block sampler
+    import selrec.duals
+
+    real = selrec.duals.ypir_block_simulate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selrec.duals, "ypir_block_simulate", counted)
+    cfgp = write_config(tmp_path, replicates=selrec.duals.BLOCK)
+    assert main(["dual", "--config", str(cfgp), "--out", str(tmp_path / "dual")]) == 0
+    assert len(calls) == 1
+    flavors = json.loads((tmp_path / "dual" / "dual_estimates.json").read_text())["flavors"]
+    assert flavors["partition"] == flavors["counts"]
+    calls.clear()
+    assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "verify")]) == 0
+    assert len(calls) == 2
+    checks = json.loads((tmp_path / "verify" / "verify_report.json").read_text())["checks"]
+    z = {c["name"]: c["max_abs_z"] for c in checks if "max_abs_z" in c}
+    assert list(z) == [f"{kind}_mc_{f}" for kind in ("duality", "solution")
+                       for f in ("counts", "partition", "runtimes")]
+    assert z["solution_mc_partition"] == z["solution_mc_counts"]
+    assert z["duality_mc_partition"] == pytest.approx(z["duality_mc_counts"], rel=1e-9)
 
 
 def test_off_grid_output_times_refused_before_solving(tmp_path, capsys):
