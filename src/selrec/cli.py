@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,17 @@ from .duals import (
     _check_line_counts,
     _duality_function,
     _flavor_estimates,
+    ancestor_mixture,
 )
-from .measure import Measure, ProbabilityMeasure, boxtimes, l1_distance
+from .measure import (
+    Measure,
+    ProbabilityMeasure,
+    boxtimes,
+    cond_fit,
+    cond_unfit,
+    fit_fraction,
+    l1_distance,
+)
 from .moran import lln_convergence
 from .partitions import decode, encode
 from .rng import spawn_stream
@@ -45,8 +55,6 @@ from .solvers import (
     semigroup_solve,
     yule_pgf,
 )
-from .duals import ancestor_mixture
-from .measure import cond_fit, cond_unfit, fit_fraction
 
 VALIDATION_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -59,21 +67,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(VALIDATION_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _stamp(exp: ExperimentConfig) -> dict:
-    return {"config_hash": exp.config_hash, "version": __version__}
+class _Run(NamedTuple):
+    """What a command made: its output files by name, the lines it prints
+    and its exit code.  A file is a dict (JSON), a Trajectory, or a
+    (columns, rows) table of numbers (CSV)."""
+
+    files: dict
+    summary: str
+    code: int = 0
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_trajectory_csv(path: Path, exp: ExperimentConfig, traj: Trajectory) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write(f"# selrec {__version__} config {exp.config_hash}\n")
-        fh.write(f"# sites {','.join(str(a) for a in traj.sites)}\n")
-        traj.write_csv(fh)
+def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
+    """Write every file of a run under out, each stamped with the config
+    hash and the package version."""
+    out.mkdir(parents=True, exist_ok=True)
+    provenance = f"# selrec {__version__} config {exp.config_hash}\n"
+    for name, payload in files.items():
+        with (out / name).open("w") as fh:
+            if isinstance(payload, dict):
+                stamped = {**payload, "config_hash": exp.config_hash, "version": __version__}
+                fh.write(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+            elif isinstance(payload, Trajectory):
+                fh.write(provenance)
+                fh.write(f"# sites {','.join(str(a) for a in payload.sites)}\n")
+                payload.write_csv(fh)
+            else:
+                columns, rows = payload
+                fh.write(provenance + ",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _seed_and_replicates(args, exp: ExperimentConfig, field: str = "replicates",
@@ -101,13 +123,9 @@ def _comparison_times(settings: SolverSettings) -> list[float]:
     return [float(grid[j]) for j in idx]
 
 
-def cmd_solve(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
-    method = args.method or "all"
-    if method not in ("ode", "recursion", "semigroup", "all"):
-        raise ConfigError(f"unknown method: {method}")
-    out = Path(args.out)
-    meta: dict = {**_stamp(exp), "method": method,
+def cmd_solve(args, exp: ExperimentConfig) -> _Run:
+    method = args.method
+    meta: dict = {"method": method,
                   "settings": {
                       "t_max": exp.settings.t_max,
                       "grid_steps": exp.settings.grid_steps,
@@ -120,8 +138,6 @@ def cmd_solve(args) -> int:
     times = exp.output_times
     if times is None:
         times = _comparison_times(exp.settings)
-    # every method runs before any file is written, so a failing solver
-    # leaves no partial output beside an earlier run's files
     for name in wanted:
         tic = time.perf_counter()
         if name == "ode":
@@ -137,8 +153,6 @@ def cmd_solve(args) -> int:
         # goes before the next method runs
         solved[name] = traj.at_times(times)
         del traj
-    for name, traj in solved.items():
-        _write_trajectory_csv(out / f"solve_{name}.csv", exp, traj)
     meta["runtimes_seconds"] = runtimes
     if method == "all":
         table = []
@@ -154,16 +168,15 @@ def cmd_solve(args) -> int:
         meta["max_pairwise_l1"] = max(
             v for row in table for k, v in row.items() if k != "t"
         )
-    _write_json(out / "solve_meta.json", meta)
-    print(f"solve: wrote {len(wanted)} trajectory file(s) to {out}")
-    return 0
+    files = {f"solve_{name}.csv": traj for name, traj in solved.items()}
+    files["solve_meta.json"] = meta
+    return _Run(files, f"solve: wrote {len(wanted)} trajectory file(s) to {Path(args.out)}")
 
 
 # -- dual ------------------------------------------------------------------
 
 
-def cmd_dual(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
+def cmd_dual(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp)
     flavors = _FLAVORS if exp.dual_flavor == "all" else (exp.dual_flavor,)
     t = exp.settings.t_max
@@ -182,7 +195,6 @@ def cmd_dual(args) -> int:
             "max_abs_z": float(np.max(np.abs(z))),
         }
     payload = {
-        **_stamp(exp),
         "t": t,
         "replicates": replicates,
         "seed": seed,
@@ -191,16 +203,14 @@ def cmd_dual(args) -> int:
         "max_abs_z": worst,
         "z_threshold": exp.z_threshold,
     }
-    _write_json(Path(args.out) / "dual_estimates.json", payload)
-    print(f"dual: max |z| vs forward solution {worst:.3f} over {flavors}")
-    return 0
+    return _Run({"dual_estimates.json": payload},
+                f"dual: max |z| vs forward solution {worst:.3f} over {flavors}")
 
 
 # -- moran -------------------------------------------------------------------
 
 
-def cmd_moran(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
+def cmd_moran(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp, "moran_replicates", least=2)
     report = lln_convergence(
         exp.cfg,
@@ -210,9 +220,8 @@ def cmd_moran(args) -> int:
         replicates,
         seed,
     )
-    payload = {**_stamp(exp), "t": exp.settings.t_max, **report.to_dict()}
-    _write_json(Path(args.out) / "moran_lln.json", payload)
-    print(
+    payload = {"t": exp.settings.t_max, **report.to_dict()}
+    summary = (
         "moran: mean l1 "
         + ", ".join(
             f"N={N}: {d:.4g}"
@@ -220,14 +229,13 @@ def cmd_moran(args) -> int:
         )
         + f"; slope {report.slope:.3f}"
     )
-    return 0
+    return _Run({"moran_lln.json": payload}, summary)
 
 
 # -- asymptotics ----------------------------------------------------------------
 
 
-def cmd_asymptotics(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
+def cmd_asymptotics(args, exp: ExperimentConfig) -> _Run:
     try:
         limit = asymptotic_limit(exp.cfg, exp.omega0)
     except ValueError as exc:
@@ -236,38 +244,28 @@ def cmd_asymptotics(args) -> int:
     T = max(T, exp.settings.t_max)
     times = np.linspace(0.0, T, exp.settings.grid_steps + 1).tolist()
     dist = [l1_distance(m, limit) for m in semigroup_path(exp.cfg, exp.omega0, times)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "asymptotics_convergence.csv").open("w") as fh:
-        fh.write(f"# selrec {__version__} config {exp.config_hash}\n")
-        fh.write("t,l1_to_limit\n")
-        for t, d in zip(times, dist):
-            fh.write(f"{t!r},{d!r}\n")
     payload = {
-        **_stamp(exp),
         "limit": limit.to_dict(),
         "horizon": float(T),
         "final_distance": dist[-1],
     }
-    _write_json(out / "asymptotics_limit.json", payload)
-    print(f"asymptotics: distance {dist[-1]:.3e} to the product limit at t={T:.3g}")
-    return 0
+    files = {
+        "asymptotics_convergence.csv": (["t", "l1_to_limit"], zip(times, dist)),
+        "asymptotics_limit.json": payload,
+    }
+    return _Run(files,
+                f"asymptotics: distance {dist[-1]:.3e} to the product limit at t={T:.3g}")
 
 
 # -- linkage decay ---------------------------------------------------------------
 
 
-def cmd_ld(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
+def cmd_ld(args, exp: ExperimentConfig) -> _Run:
     solution, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
     times = solution.times
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     levels = []
-    norm_cols = {}
     for level, res in enumerate(residuals, start=1):
         norms = res["lhs_norms"]
-        norm_cols[level] = norms
         rate = res["rate"]
         fitted = float("nan")
         floor = max(1e-12, 1e-6 * float(norms.max()), 1e-6 * float(res["below_norms"].max()))
@@ -283,27 +281,23 @@ def cmd_ld(args) -> int:
             "fitted_rate": None if np.isnan(fitted) else -fitted,
             "max_relative_error": res["max_relative_error"],
         })
-    with (out / "ld_norms.csv").open("w") as fh:
-        fh.write(f"# selrec {__version__} config {exp.config_hash}\n")
-        fh.write("t," + ",".join(f"level_{k}" for k in norm_cols) + "\n")
-        for j, t in enumerate(times):
-            fh.write(
-                ",".join([repr(float(t))] + [repr(float(norm_cols[k][j])) for k in norm_cols])
-                + "\n"
-            )
-    _write_json(out / "ld_rates.json", {**_stamp(exp), "levels": levels})
-    print(
-        "ld: "
-        + "; ".join(
-            f"site {row['site']}: nominal {row['nominal_rate']:.3g}, fitted "
-            + (f"{row['fitted_rate']:.3g}" if row["fitted_rate"] is not None else "n/a")
-            for row in levels
-        )
+    columns = ["t"] + [f"level_{row['level']}" for row in levels]
+    rows = zip(times, *(res["lhs_norms"] for res in residuals))
+    summary = "ld: " + "; ".join(
+        f"site {row['site']}: nominal {row['nominal_rate']:.3g}, fitted "
+        + (f"{row['fitted_rate']:.3g}" if row["fitted_rate"] is not None else "n/a")
+        for row in levels
     )
-    return 0
+    return _Run({"ld_norms.csv": (columns, rows), "ld_rates.json": {"levels": levels}},
+                summary)
 
 
 # -- verify -----------------------------------------------------------------------
+
+
+def _gate(name: str, worst: float, tol: float, **report) -> dict:
+    """A threshold check: it passes when worst <= tol."""
+    return {"name": name, "passed": bool(worst <= tol), **report, "tolerance": tol}
 
 
 def _check_solver_agreement(
@@ -318,13 +312,8 @@ def _check_solver_agreement(
         "ode_semigroup": l1_distance(ode, semi),
         "recursion_semigroup": l1_distance(rec, semi),
     }
-    worst = max(pair.values())
-    return {
-        "name": "solver_agreement",
-        "passed": bool(worst <= exp.agreement_tol),
-        "pairwise_l1": {k: float(v) for k, v in pair.items()},
-        "tolerance": exp.agreement_tol,
-    }
+    return _gate("solver_agreement", max(pair.values()), exp.agreement_tol,
+                 pairwise_l1={k: float(v) for k, v in pair.items()})
 
 
 def _check_product_algebra(exp: ExperimentConfig, seed: int) -> dict:
@@ -343,24 +332,12 @@ def _check_product_algebra(exp: ExperimentConfig, seed: int) -> dict:
         left = boxtimes(boxtimes(mus[0], mus[1]), mus[2])
         right = boxtimes(mus[0], boxtimes(mus[1], mus[2]))
         worst = max(worst, float(np.abs(left.values - right.values).sum()))
-    return {
-        "name": "product_associativity",
-        "passed": bool(worst <= 1e-12),
-        "max_deviation": worst,
-        "tolerance": 1e-12,
-    }
+    return _gate("product_associativity", worst, 1e-12, max_deviation=worst)
 
 
 def _check_ld_identity(residuals: list[dict]) -> dict:
-    worst = 0.0
-    for res in residuals:
-        worst = max(worst, res["max_relative_error"])
-    return {
-        "name": "ld_decay_identity",
-        "passed": bool(worst <= 1e-4),
-        "max_relative_error": worst,
-        "tolerance": 1e-4,
-    }
+    worst = max([0.0, *(res["max_relative_error"] for res in residuals)])
+    return _gate("ld_decay_identity", worst, 1e-4, max_relative_error=worst)
 
 
 def _check_selection_duality(exp: ExperimentConfig) -> dict:
@@ -377,12 +354,7 @@ def _check_selection_duality(exp: ExperimentConfig) -> dict:
                 cond_fit(nu, cfg.i_star).scale(1.0 - y)
             )
             worst = max(worst, l1_distance(lhs, rhs))
-    return {
-        "name": "selection_duality_closed_form",
-        "passed": bool(worst <= 1e-12),
-        "max_l1": worst,
-        "tolerance": 1e-12,
-    }
+    return _gate("selection_duality_closed_form", worst, 1e-12, max_l1=worst)
 
 
 def _mc_time(exp: ExperimentConfig) -> float:
@@ -406,11 +378,8 @@ def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
         for flavor, est in estimates.items():
             target = forward[flavor] if check == "duality_mc" else reference
             z[f"{check}_{flavor}"] = float(np.max(np.abs(est.z_scores(target))))
-    return [
-        {"name": name, "passed": bool(v <= exp.z_threshold), "max_abs_z": v,
-         "replicates": reps, "tolerance": exp.z_threshold}
-        for name, v in z.items()
-    ]
+    return [_gate(name, v, exp.z_threshold, max_abs_z=v, replicates=reps)
+            for name, v in z.items()]
 
 
 def _check_marginals(exp: ExperimentConfig, full: Trajectory) -> dict:
@@ -427,12 +396,7 @@ def _check_marginals(exp: ExperimentConfig, full: Trajectory) -> dict:
         sub = semigroup_solve(model, start, exp.settings.t_max)
         proj = final.project(subset)
         worst = max(worst, l1_distance(sub, Measure(model.sites, proj.values)))
-    return {
-        "name": "marginal_consistency",
-        "passed": bool(worst <= exp.agreement_tol),
-        "max_l1": worst,
-        "tolerance": exp.agreement_tol,
-    }
+    return _gate("marginal_consistency", worst, exp.agreement_tol, max_l1=worst)
 
 
 def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
@@ -453,8 +417,7 @@ def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    exp = ExperimentConfig.from_file(args.config)
+def cmd_verify(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp)
     _check_line_counts(exp.cfg, _mc_time(exp), _FLAVORS)
     # the forward problems on the config's own settings, shared by the checks
@@ -471,51 +434,40 @@ def cmd_verify(args) -> int:
         _check_encoding(exp, seed),
     ]
     ok = all(c["passed"] for c in checks)
-    payload = {
-        **_stamp(exp),
-        "seed": seed,
-        "passed": ok,
-        "checks": checks,
-    }
-    _write_json(Path(args.out) / "verify_report.json", payload)
-    for c in checks:
-        print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
-    print(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
-    return 0 if ok else VERIFICATION_EXIT
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}" for c in checks]
+    lines.append(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
+    return _Run({"verify_report.json": {"seed": seed, "passed": ok, "checks": checks}},
+                "\n".join(lines), 0 if ok else VERIFICATION_EXIT)
 
 
 # -- entry point --------------------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="experiment config JSON")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="seed override")
-    sub.add_argument("--replicates", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted and ignored, as is SELREC_THREADS: Monte Carlo "
-                          "streams are keyed by (seed, block) with a fixed block size, "
-                          "so no result or timing depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="selrec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"selrec {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    p = subs.add_parser("solve", help="integrate the forward dynamics")
-    p.add_argument("--method", choices=["ode", "recursion", "semigroup", "all"],
-                   default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-    for name, fn, help_ in (
-        ("dual", cmd_dual, "Monte Carlo estimates from the dual processes"),
-        ("moran", cmd_moran, "finite-population convergence study"),
-        ("verify", cmd_verify, "deterministic verification suite"),
-        ("asymptotics", cmd_asymptotics, "long-time product limit"),
-        ("ld", cmd_ld, "linkage decay along the recursion"),
+    for name, fn, monte_carlo, help_ in (
+        ("solve", cmd_solve, False, "integrate the forward dynamics"),
+        ("dual", cmd_dual, True, "Monte Carlo estimates from the dual processes"),
+        ("moran", cmd_moran, True, "finite-population convergence study"),
+        ("verify", cmd_verify, True, "deterministic verification suite"),
+        ("asymptotics", cmd_asymptotics, False, "long-time product limit"),
+        ("ld", cmd_ld, False, "linkage decay along the recursion"),
     ):
         p = subs.add_parser(name, help=help_)
-        _add_common(p)
+        if name == "solve":
+            p.add_argument("--method", choices=["ode", "recursion", "semigroup", "all"],
+                           default="all")
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", default=".", help="output directory")
+        if monte_carlo:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
+            p.add_argument("--replicates", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored, as is SELREC_THREADS: Monte Carlo "
+                            "streams are keyed by (seed, block) with a fixed block size, "
+                            "so no result or timing depends on it")
         p.set_defaults(func=fn)
     return parser
 
@@ -524,7 +476,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        exp = ExperimentConfig.from_file(args.config)
+        run = args.func(args, exp)
+        # the command has returned before any file is written, so a run
+        # that fails leaves no partial output beside an earlier run's files
+        _write_outputs(Path(args.out), exp, run.files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
@@ -534,6 +490,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
+    print(run.summary)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,8 +87,8 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config field: {key}")
         try:
             cfg = SiteConfig(
-                n=int(raw["n"]),
-                i_star=int(raw["i_star"]),
+                n=_integer("n", raw["n"]),
+                i_star=_integer("i_star", raw["i_star"]),
                 s=float(raw["s"]),
                 rho=tuple(float(r) for r in raw["rho"]),
             )
@@ -97,7 +98,7 @@ class ExperimentConfig:
         try:
             settings = SolverSettings(
                 t_max=float(raw.get("t_max", 1.0)),
-                grid_steps=int(raw.get("grid_steps", 512)),
+                grid_steps=_integer("grid_steps", raw.get("grid_steps", 512)),
                 ode_step=(
                     float(raw["ode_step"])
                     if raw.get("ode_step") is not None
@@ -115,7 +116,7 @@ class ExperimentConfig:
                     "output_times is empty: give at least one time, or null "
                     "for the comparison times"
                 )
-            if any(t < 0 or t > settings.t_max + 1e-12 for t in times):
+            if not all(0 <= t <= settings.t_max + 1e-12 for t in times):
                 raise ConfigError("output_times must lie in [0, t_max]")
             grid = settings.grid()
             for t in times:
@@ -127,7 +128,8 @@ class ExperimentConfig:
         flavor = str(raw.get("dual_flavor", "counts"))
         if flavor not in ("counts", "partition", "runtimes", "all"):
             raise ConfigError(f"unknown dual_flavor: {flavor}")
-        sizes = [int(N) for N in raw.get("moran_population_sizes", [100, 1000])]
+        sizes = [_integer("moran_population_sizes", N)
+                 for N in raw.get("moran_population_sizes", [100, 1000])]
         if any(N < 1 for N in sizes):
             raise ConfigError("moran_population_sizes must be >= 1")
         return cls(
@@ -136,14 +138,30 @@ class ExperimentConfig:
             omega0=omega0,
             settings=settings,
             output_times=times,
-            seed=int(raw.get("seed", 0)),
-            replicates=int(raw.get("replicates", 10_000)),
+            seed=_integer("seed", raw.get("seed", 0)),
+            replicates=_integer("replicates", raw.get("replicates", 10_000)),
             dual_flavor=flavor,
-            z_threshold=float(raw.get("z_threshold", 4.0)),
-            agreement_tol=float(raw.get("agreement_tol", 1e-5)),
+            z_threshold=_finite("z_threshold", raw.get("z_threshold", 4.0)),
+            agreement_tol=_finite("agreement_tol", raw.get("agreement_tol", 1e-5)),
             moran_population_sizes=sizes,
-            moran_replicates=int(raw.get("moran_replicates", 10)),
+            moran_replicates=_integer("moran_replicates", raw.get("moran_replicates", 10)),
         )
+
+
+def _integer(key: str, value) -> int:
+    """An integer field; a boolean or a number with a fractional part is
+    refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(key: str, value) -> float:
+    """A real field; NaN and +-Infinity are refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
 
 
 def _parse_initial(cfg: SiteConfig, raw) -> ProbabilityMeasure:
@@ -160,7 +178,7 @@ def _parse_initial(cfg: SiteConfig, raw) -> ProbabilityMeasure:
         if vals.min(initial=0.0) < -NEG_TOL:
             raise ConfigError("initial vector has a negative entry")
         total = float(vals.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ConfigError(
                 f"initial vector mass {total!r} deviates from 1 beyond {MASS_TOL}"
             )
@@ -177,7 +195,7 @@ def _parse_initial(cfg: SiteConfig, raw) -> ProbabilityMeasure:
             if pair.min() < -NEG_TOL:
                 raise ConfigError(f"marginal {j} has a negative entry")
             total = float(pair.sum())
-            if abs(total - 1.0) > MASS_TOL:
+            if not abs(total - 1.0) <= MASS_TOL:
                 raise ConfigError(f"marginal {j} mass {total!r} deviates from 1")
             ones.append(float(pair[1]) / total)
         return product_measure(cfg.sites, ones)

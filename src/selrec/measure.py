@@ -67,10 +67,6 @@ class Measure:
     def sub(self, other: "Measure") -> "Measure":
         return self.add(other.scale(-1.0))
 
-    def index_of(self, letters: dict[int, int]) -> int:
-        """Flat index of the sequence with the given letter at each site."""
-        return sequence_index(self.sites, letters)
-
     # -- marginalisation and products ---------------------------------------
 
     def project(self, subset: Iterable[int]) -> "Measure":
@@ -120,7 +116,7 @@ class ProbabilityMeasure(Measure):
     def __init__(self, sites, values):
         super().__init__(sites, values)
         m = self.mass()
-        if abs(m - 1.0) > MASS_TOL:
+        if not abs(m - 1.0) <= MASS_TOL:
             raise ValueError(f"total mass {m!r} deviates from 1 beyond {MASS_TOL}")
         if self.values.min(initial=0.0) < -NEG_TOL:
             raise ValueError(

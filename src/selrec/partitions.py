@@ -87,9 +87,6 @@ class WeightedPartition:
     def n(self) -> int:
         return self.partition.n
 
-    def weight_of(self, block: tuple[int, ...]) -> int:
-        return self.weights[self.partition.blocks.index(block)]
-
     @classmethod
     def initial(cls, n: int) -> "WeightedPartition":
         """Single block covering everything, weight 1."""

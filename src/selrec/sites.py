@@ -8,6 +8,7 @@ ranks sites by how far they sit from the selected site along their arm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,13 @@ class SiteConfig:
             raise ValueError(f"n must be an integer in [1, 20], got {self.n}")
         if not (1 <= self.i_star <= self.n):
             raise ValueError(f"i_star must lie in [1, {self.n}], got {self.i_star}")
-        if self.s < 0:
-            raise ValueError(f"selection strength must be >= 0, got {self.s}")
+        if not 0 <= self.s < math.inf:
+            raise ValueError(f"selection strength s must be finite and >= 0, got {self.s}")
         rho = tuple(float(r) for r in self.rho)
         if len(rho) != self.n:
             raise ValueError(f"rho must have length n={self.n}, got {len(rho)}")
-        if any(r < 0 for r in rho):
-            raise ValueError("crossover rates must be >= 0")
+        if not all(0 <= r < math.inf for r in rho):
+            raise ValueError(f"crossover rates rho must be finite and >= 0, got {rho}")
         if rho[self.i_star - 1] != 0.0:
             raise ValueError(
                 f"the selected site {self.i_star} cannot be a crossover point; "

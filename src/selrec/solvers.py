@@ -59,12 +59,12 @@ class SolverSettings:
     quad_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
+        if not 0 <= self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and >= 0, got {self.t_max}")
         if not isinstance(self.grid_steps, int) or self.grid_steps < 2:
             raise ValueError("grid_steps must be an integer >= 2")
-        if self.ode_step is not None and not self.ode_step > 0:
-            raise ValueError("ode_step must be positive")
+        if self.ode_step is not None and not 0 < self.ode_step < math.inf:
+            raise ValueError(f"ode_step must be finite and positive, got {self.ode_step}")
         if not (0.0 < self.quad_tol <= 1e-3):
             raise ValueError("quad_tol must lie in (0, 1e-3]")
 

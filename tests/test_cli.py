@@ -145,6 +145,58 @@ def test_failing_solver_leaves_no_solve_output(tmp_path, monkeypatch, capsys):
     assert not list(out.glob("solve_*"))
 
 
+@pytest.mark.parametrize("command", ["ld", "verify"])
+def test_failing_recursion_leaves_no_output(tmp_path, monkeypatch, capsys, command):
+    def fail(*args, **kwargs):
+        raise SolverError("recursion failed on purpose")
+
+    monkeypatch.setattr("selrec.cli.ld_decay_residuals", fail)
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+    assert "recursion failed on purpose" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# README's table of subcommands and the files each writes
+OUTPUTS = {
+    ("solve", "--method", "all"): {"solve_ode.csv", "solve_recursion.csv",
+                                   "solve_semigroup.csv", "solve_meta.json"},
+    ("dual",): {"dual_estimates.json"},
+    ("moran",): {"moran_lln.json"},
+    ("asymptotics",): {"asymptotics_convergence.csv", "asymptotics_limit.json"},
+    ("ld",): {"ld_norms.csv", "ld_rates.json"},
+    ("verify",): {"verify_report.json"},
+}
+
+
+def test_every_command_stamps_its_files_and_repeats_them(tmp_path):
+    from selrec import __version__
+
+    cfgp = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+    config_hash = ExperimentConfig.from_file(cfgp).config_hash
+    for argv, names in OUTPUTS.items():
+        contents = []
+        for run in ("first", "again"):
+            out = tmp_path / argv[0] / run
+            assert main([*argv, "--config", str(cfgp), "--out", str(out)]) == 0
+            assert {p.name for p in out.iterdir()} == names
+            files = {}
+            for name in names:
+                data = (out / name).read_bytes()
+                if name.endswith(".csv"):
+                    assert data.startswith(f"# selrec {__version__} config {config_hash}\n".encode())
+                else:
+                    payload = json.loads(data)
+                    assert (payload["config_hash"], payload["version"]) == (config_hash, __version__)
+                    # solve's solver times are the one field that varies between runs
+                    if "runtimes_seconds" in payload:
+                        data = json.dumps({**payload, "runtimes_seconds": None})
+                files[name] = data
+            contents.append(files)
+        assert contents[0] == contents[1], argv
+
+
 def test_empty_output_times_refused(tmp_path, capsys):
     cfgp = write_config(tmp_path, output_times=[])
     out = tmp_path / "run"
@@ -318,6 +370,7 @@ EXAMPLE = json.loads(
 
 
 ONE_SITE = {"n": 1, "i_star": 1, "rho": [0.0], "initial": {"vector": [0.4, 0.6]}}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
@@ -339,13 +392,43 @@ ONE_SITE = {"n": 1, "i_star": 1, "rho": [0.0], "initial": {"vector": [0.4, 0.6]}
             for overrides in (ONE_SITE, {"rho": [0.0, 0.0, 0.0]})
             for argv in (["ld"], ["verify"], ["solve", "--method", "all"])
         ),
+        (["solve", "--method", "all"], {"n": 3.9}, 1, "n must be an integer, got 3.9"),
+        (["solve", "--method", "ode"], {"grid_steps": 100.7}, 1,
+         "grid_steps must be an integer, got 100.7"),
+        (["verify"], {"replicates": 2.5}, 1, "replicates must be an integer, got 2.5"),
+        (["dual"], {"seed": True}, 1, "seed must be an integer, got True"),
+        (["ld"], {"i_star": 2.6}, 1, "i_star must be an integer, got 2.6"),
+        (["moran"], {"moran_population_sizes": [100.5, 1000]}, 1,
+         "moran_population_sizes must be an integer, got 100.5"),
+        *(
+            (argv, {"s": NAN}, 1, "selection strength s must be finite")
+            for argv in (["solve", "--method", "all"], ["verify"], ["dual"])
+        ),
+        (["dual"], {"t_max": INF}, 1, "t_max must be finite"),
+        (["verify"], {"z_threshold": NAN}, 1, "z_threshold must be a finite number"),
+        (["dual"], {"z_threshold": NAN}, 1, "z_threshold must be a finite number"),
+        (["ld"], {"initial": {"vector": [NAN, *EXAMPLE["initial"]["vector"][1:]]}}, 1,
+         "initial vector mass nan"),
+        (["asymptotics"], {"rho": [INF, 0.0, 0.5]}, 1, "crossover rates rho must be finite"),
+        (["verify"], {"agreement_tol": NAN}, 1, "agreement_tol must be a finite number"),
+        (["solve", "--method", "all"], {"output_times": [NAN]}, 1,
+         "output_times must lie in [0, t_max]"),
+        (["solve", "--seed", "-5"], {}, 1, "unrecognized arguments: --seed -5"),
+        (["asymptotics", "--replicates", "0"], {}, 1, "unrecognized arguments: --replicates 0"),
+        (["ld", "--seed", "3"], {}, 1, "unrecognized arguments: --seed 3"),
     ],
     ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2",
          "dual-replicates-flag-0", "verify-replicates-0", "moran-replicates-flag-1",
          "moran-replicates-1", "dual-seed-negative", "verify-seed-flag-negative",
          "moran-seed-flag-negative",
          "ld-n-1", "verify-n-1", "solve-all-n-1",
-         "ld-rates-0", "verify-rates-0", "solve-all-rates-0"],
+         "ld-rates-0", "verify-rates-0", "solve-all-rates-0",
+         "solve-all-n-fraction", "solve-ode-grid-fraction", "verify-replicates-fraction",
+         "dual-seed-boolean", "ld-i_star-fraction", "moran-population-fraction",
+         "solve-all-s-nan", "verify-s-nan", "dual-s-nan", "dual-t_max-infinite",
+         "verify-z-nan", "dual-z-nan", "ld-initial-nan", "asymptotics-rho-infinite",
+         "verify-agreement-nan", "solve-all-output-time-nan",
+         "solve-seed-flag", "asymptotics-replicates-flag", "ld-seed-flag"],
 )
 def test_edge_configs_exit_codes(tmp_path, capsys, monkeypatch, argv, overrides, code,
                                  message):
@@ -354,16 +437,33 @@ def test_edge_configs_exit_codes(tmp_path, capsys, monkeypatch, argv, overrides,
     # the recursion refuses a grid whose half-grid reference is one step.
     # With one site the recursion has no level above the selection flow and
     # ld no residual; with every rate 0 each level repeats the one below.
-    # A replicate count or seed out of range, from a flag or the config, is
-    # refused before any solver runs.
+    # A replicate count or seed out of range, from a flag or the config, an
+    # integer field holding a fraction or a boolean, a real field holding
+    # NaN or Infinity, and --seed or --replicates on a command without Monte
+    # Carlo are refused before any solver runs.
     cfgp = tmp_path / "edge.json"
     cfgp.write_text(json.dumps({**EXAMPLE, **overrides}))
     out = tmp_path / "run"
     calls = record_solver_calls(monkeypatch)
-    assert main([*argv, "--config", str(cfgp), "--out", str(out)]) == code
+    try:
+        got = main([*argv, "--config", str(cfgp), "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses the arguments
+        got = exc.code
+    assert got == code
     assert message in capsys.readouterr().err
     if code == 1:
         assert calls == []
+
+
+def test_ld_without_levels_writes_the_time_column_only(tmp_path):
+    cfgp = tmp_path / "one.json"
+    cfgp.write_text(json.dumps({**EXAMPLE, **ONE_SITE}))
+    out = tmp_path / "run"
+    assert main(["ld", "--config", str(cfgp), "--out", str(out)]) == 0
+    lines = (out / "ld_norms.csv").read_text().splitlines()
+    assert lines[1] == "t"
+    assert len(lines) == 2 + EXAMPLE["grid_steps"] + 1
+    assert json.loads((out / "ld_rates.json").read_text())["levels"] == []
 
 
 def test_ld_at_time_zero_writes_null_rates(tmp_path):

@@ -256,6 +256,9 @@ def test_probability_measure_validation():
         ProbabilityMeasure((1,), np.array([0.4, 0.4]))
     with pytest.raises(ValueError):
         ProbabilityMeasure((1,), np.array([1.5, -0.5]))
+    for bad in ([np.nan, 0.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="total mass"):
+            ProbabilityMeasure((1,), np.array(bad))
     # tiny negativity from roundoff is tolerated
     ProbabilityMeasure((1,), np.array([1.0 + 1e-13, -1e-13]))
 

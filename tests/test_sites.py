@@ -17,6 +17,11 @@ def test_validation():
         SiteConfig(n=2, i_star=1, s=1.0, rho=(0.0, -1.0))
     with pytest.raises(ValueError):
         SiteConfig(n=21, i_star=1, s=1.0, rho=(0.0,) * 21)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="selection strength s"):
+            SiteConfig(n=2, i_star=1, s=s, rho=(0.0, 0.0))
+        with pytest.raises(ValueError, match="crossover rates rho"):
+            SiteConfig(n=2, i_star=1, s=1.0, rho=(0.0, s))
 
 
 def test_head_tail_enumerated():

@@ -431,6 +431,14 @@ def test_recursion_permutation_invariant():
     assert l1_distance(sol1, sol3) < 1e-8
 
 
+def test_settings_refuse_non_finite_times():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            SolverSettings(t_max=bad)
+        with pytest.raises(ValueError, match="ode_step must be finite"):
+            SolverSettings(t_max=1.0, ode_step=bad)
+
+
 def test_default_settings_pass_the_recursion_grid_check():
     # the default quad_tol is one the half-step check at the default 512
     # steps can meet (about 1.5e-7 here); 1e-8 raised GridTooCoarseError
