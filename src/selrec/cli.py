@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import FIELDS, ConfigError, ExperimentConfig, check
 from .duals import (
     _FLAVORS,
     _canonical_start,
@@ -98,19 +98,14 @@ def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _seed_and_replicates(args, exp: ExperimentConfig, field: str = "replicates",
-                         least: int = 1) -> tuple[int, int]:
+def _seed_and_replicates(args, exp: ExperimentConfig, field="replicates") -> tuple[int, int]:
     """A Monte Carlo command's seed and replicate count: each flag when
-    given, else the config's field; refused when out of range."""
-    values = []
-    for flag, name, low in (("seed", "seed", 0), ("replicates", field, least)):
-        given = getattr(args, flag)
-        value = getattr(exp, name) if given is None else given
-        if value < low:
-            source = name if given is None else f"--{flag}"
-            raise ConfigError(f"{source} must be >= {low}, got {value}")
-        values.append(value)
-    return tuple(values)
+    given, checked by the rule of its config field, else the field."""
+    return tuple(
+        getattr(exp, name) if getattr(args, flag) is None
+        else check(f"--{flag}", getattr(args, flag), FIELDS[name].kind, FIELDS[name].bound)
+        for flag, name in (("seed", "seed"), ("replicates", field))
+    )
 
 
 # -- solve ---------------------------------------------------------------
@@ -211,7 +206,7 @@ def cmd_dual(args, exp: ExperimentConfig) -> _Run:
 
 
 def cmd_moran(args, exp: ExperimentConfig) -> _Run:
-    seed, replicates = _seed_and_replicates(args, exp, "moran_replicates", least=2)
+    seed, replicates = _seed_and_replicates(args, exp, "moran_replicates")
     report = lln_convergence(
         exp.cfg,
         exp.omega0,
@@ -227,7 +222,7 @@ def cmd_moran(args, exp: ExperimentConfig) -> _Run:
             f"N={N}: {d:.4g}"
             for N, d in zip(report.population_sizes, report.mean_distance)
         )
-        + f"; slope {report.slope:.3f}"
+        + "; slope " + ("n/a" if report.slope is None else f"{report.slope:.3f}")
     )
     return _Run({"moran_lln.json": payload}, summary)
 

@@ -174,7 +174,7 @@ class LLNReport:
     population_sizes: list[int]
     mean_distance: list[float]
     stderr: list[float]
-    slope: float
+    slope: float | None
     replicates: int
     seed: int
     # total Moran events per population size, summed over replicates
@@ -202,7 +202,7 @@ def lln_convergence(
 ) -> LLNReport:
     """Mean l1 distance between the empirical measure at time t and the
     deterministic solution, per population size, with a fitted log-log
-    slope."""
+    slope (None unless there are two distinct sizes)."""
     if replicates < 2:
         raise ValueError("need at least two replicates")
     sizes = [int(N) for N in population_sizes]
@@ -220,7 +220,10 @@ def lln_convergence(
             dist[a, rep] = l1_distance(empirical_measure(cfg, pop), target)
     mean = dist.mean(axis=1)
     stderr = dist.std(axis=1, ddof=1) / np.sqrt(replicates)
-    slope = float(np.polyfit(np.log(sizes), np.log(mean), 1)[0])
+    # a slope needs two distinct sizes, as ld's fitted rate needs two times
+    slope = None
+    if len(set(sizes)) >= 2:
+        slope = float(np.polyfit(np.log(sizes), np.log(mean), 1)[0])
     return LLNReport(
         population_sizes=sizes,
         mean_distance=[float(v) for v in mean],
