@@ -77,25 +77,40 @@ class _Run(NamedTuple):
     code: int = 0
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that is, or lies under, something other than a
+    directory, before any work starts."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} is not a directory")
+            return
+
+
 def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
     """Write every file of a run under out, each stamped with the config
     hash and the package version."""
-    out.mkdir(parents=True, exist_ok=True)
     provenance = f"# selrec {__version__} config {exp.config_hash}\n"
-    for name, payload in files.items():
-        with (out / name).open("w") as fh:
-            if isinstance(payload, dict):
-                stamped = {**payload, "config_hash": exp.config_hash, "version": __version__}
-                fh.write(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
-            elif isinstance(payload, Trajectory):
-                fh.write(provenance)
-                fh.write(f"# sites {','.join(str(a) for a in payload.sites)}\n")
-                payload.write_csv(fh)
-            else:
-                columns, rows = payload
-                fh.write(provenance + ",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            path = out / name
+            with path.open("w") as fh:
+                if isinstance(payload, dict):
+                    stamped = {**payload, "config_hash": exp.config_hash, "version": __version__}
+                    fh.write(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+                elif isinstance(payload, Trajectory):
+                    fh.write(provenance)
+                    fh.write(f"# sites {','.join(str(a) for a in payload.sites)}\n")
+                    payload.write_csv(fh)
+                else:
+                    columns, rows = payload
+                    fh.write(provenance + ",".join(columns) + "\n")
+                    for row in rows:
+                        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _seed_and_replicates(args, exp: ExperimentConfig, field="replicates") -> tuple[int, int]:
@@ -472,6 +487,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         exp = ExperimentConfig.from_file(args.config)
+        _check_out(Path(args.out))
         run = args.func(args, exp)
         # the command has returned before any file is written, so a run
         # that fails leaves no partial output beside an earlier run's files

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .duals import _FLAVORS
 from .measure import MASS_TOL, NEG_TOL, ProbabilityMeasure, product_measure
 from .sites import SiteConfig
 from .solvers import SolverSettings, grid_index
@@ -27,7 +28,7 @@ class ConfigError(ValueError):
 
 REQUIRED = object()  # the default of a key that has none
 
-FLAVORS = ("counts", "partition", "runtimes", "all")
+FLAVORS = (*_FLAVORS, "all")
 
 
 class Field(NamedTuple):

@@ -2,11 +2,13 @@
 
 Three independent routes to the same solution:
 
-* a generic fixed-step Runge-Kutta integrator with step halving,
-* a level-by-level recursion that peels off one crossover site at a time
-  and only ever integrates scalar exponential weights,
 * a closed semigroup formula that assembles the solution from per-site
-  line-counting laws.
+  line-counting laws: the exact engine,
+* a generic fixed-step Runge-Kutta integrator that halves its step until
+  its end point meets the closed form,
+* a level-by-level recursion that peels off one crossover site at a time
+  and only ever integrates scalar exponential weights; its end point is
+  checked against the closed form.
 
 All of them work on dense measure vectors as defined in ``measure``.
 """
@@ -41,7 +43,8 @@ class SolverError(RuntimeError):
 
 
 class GridTooCoarseError(SolverError):
-    """Raised when the half-step comparison exceeds its budget."""
+    """Raised when the recursion's end point lies more than 10 * quad_tol
+    in l1 from the closed form."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ class SolverSettings:
 
     t_max is the end time, grid_steps the number of grid intervals,
     ode_step the initial integrator step (defaults to the grid spacing)
-    and quad_tol the convergence target for refinements.
+    and quad_tol the l1 distance from the closed form at t_max that the
+    integrator must reach, and a tenth of the recursion's bound.
     """
 
     t_max: float
@@ -223,10 +227,13 @@ def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
 def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) -> Trajectory:
     """Classic fourth-order integration with step halving.
 
-    The step is halved until two successive refinements agree at t_max to
-    within quad_tol in l1; a run whose mass collapses or stops being finite
-    counts as not converged and is discarded.  The mass is renormalised
-    after every step and the largest drift is recorded on the trajectory.
+    The first run whose endpoint lies within quad_tol in l1 of the closed
+    form semigroup_solve at t_max is returned; otherwise the step is
+    halved.  A run whose mass collapses or stops being finite is discarded,
+    and a run that agrees with the one before it to within quad_tol but not
+    with the closed form raises SolverError: the two routes disagree.  The
+    mass is renormalised after every step and the largest drift is
+    recorded on the trajectory.
     """
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
@@ -235,6 +242,7 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
     if settings.t_max == 0.0:
         vals = np.tile(omega0.values, (grid.size, 1))
         return Trajectory(grid, cfg.sites, vals)
+    exact = semigroup_solve(cfg, omega0, settings.t_max).values
     cell = settings.t_max / settings.grid_steps
     step = settings.ode_step if settings.ode_step is not None else cell
     substeps = max(1, math.ceil(cell / step))
@@ -245,10 +253,11 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
             prev_final = None
         else:
             out, drift = run
-            if prev_final is not None:
-                diff = float(np.abs(out[-1] - prev_final).sum())
-                if diff < settings.quad_tol:
-                    return Trajectory(grid, cfg.sites, out, drift)
+            gap = float(np.abs(out[-1] - exact).sum())
+            if gap < settings.quad_tol:
+                return Trajectory(grid, cfg.sites, out, drift)
+            if prev_final is not None and np.abs(out[-1] - prev_final).sum() < settings.quad_tol:
+                raise SolverError(f"the ODE converged {gap:.3e} in l1 away from the closed form")
             # a copy of the endpoint, so the next run is the only trajectory
             prev_final = out[-1].copy()
             del out, run
@@ -271,9 +280,9 @@ def recursive_solve(
     Each level couples the previous one through a single exponentially
     weighted time integral, evaluated by trapezoidal prefix sums on the
     grid.  Only the level being built and the one below it are held; the
-    last level is the solution.  For t_max > 0 the endpoint is compared
-    against a run on the half-step grid and a mismatch beyond 10x quad_tol
-    raises GridTooCoarseError.
+    last level is the solution.  Its end point is compared with the closed
+    form at t_max, and a distance beyond 10 * quad_tol in l1 raises
+    GridTooCoarseError.
     """
     return _walk_levels(cfg, omega0, settings, permutation)
 
@@ -293,9 +302,9 @@ def ld_decay_residuals(
 
 def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajectory:
     """The one driver of the recursion.  Streams the levels on the settings'
-    grid, appending to residuals, when given, the ld_decay_residual of each
-    level above the first; then runs the half-grid check and returns the
-    last level."""
+    grid once, appending to residuals, when given, the ld_decay_residual of
+    each level above the first; then checks the last level's end point
+    against the closed form and returns the last level."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
@@ -304,21 +313,14 @@ def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajecto
         if k and residuals is not None:
             residuals.append(ld_decay_residual(cfg, permutation[k], times, level, below))
         below = level
-    solution = Trajectory(times, cfg.sites, level)
-    if settings.t_max > 0.0:
-        # half the steps, rounded down: at 2 or 3 steps the reference is a
-        # single step, never the run's own grid
-        coarse = np.linspace(0.0, settings.t_max, settings.grid_steps // 2 + 1)
-        # only the last coarse level is compared: keep no other
-        for ref in _recursion_levels(cfg, omega0, coarse, permutation):
-            pass
-        diff = float(np.abs(solution.values[-1] - ref[-1]).sum())
-        if diff > 10.0 * settings.quad_tol:
-            raise GridTooCoarseError(
-                f"half-step comparison gives {diff:.3e} > 10 * {settings.quad_tol:.1e}; "
-                "increase grid_steps"
-            )
-    return solution
+    exact = semigroup_solve(cfg, omega0, settings.t_max).values
+    diff = float(np.abs(level[-1] - exact).sum())
+    if diff > 10.0 * settings.quad_tol:
+        raise GridTooCoarseError(
+            f"the recursion ends {diff:.3e} in l1 from the closed form, "
+            f"> 10 * {settings.quad_tol:.1e}; increase grid_steps"
+        )
+    return Trajectory(times, cfg.sites, level)
 
 
 def _cumulative_trapezoid(y, times):

@@ -380,6 +380,8 @@ NAN, INF = float("nan"), float("inf")
         (["solve", "--method", "ode"], {"t_max": 20.0, "grid_steps": 2}, 0, ""),
         (["asymptotics"], {"grid_steps": 2}, 0, ""),
         (["verify"], {"grid_steps": 2}, 2, "increase grid_steps"),
+        (["ld"], {"grid_steps": 256}, 0, ""),
+        (["solve", "--method", "recursion"], {"grid_steps": 256}, 0, ""),
         (["dual", "--replicates", "0"], {}, 1, "--replicates must be >= 1, got 0"),
         (["verify"], {"replicates": 0}, 1, "replicates must be >= 1, got 0"),
         (["moran", "--replicates", "1"], {}, 1, "--replicates must be >= 2, got 1"),
@@ -418,6 +420,7 @@ NAN, INF = float("nan"), float("inf")
         (["ld", "--seed", "3"], {}, 1, "unrecognized arguments: --seed 3"),
     ],
     ids=["ld-t_max-0", "solve-ode-t_max-20-grid-2", "asymptotics-grid-2", "verify-grid-2",
+         "ld-grid-256", "solve-recursion-grid-256",
          "dual-replicates-flag-0", "verify-replicates-0", "moran-replicates-flag-1",
          "moran-replicates-1", "dual-seed-negative", "verify-seed-flag-negative",
          "moran-seed-flag-negative",
@@ -433,8 +436,9 @@ NAN, INF = float("nan"), float("inf")
 def test_edge_configs_exit_codes(tmp_path, capsys, monkeypatch, argv, overrides, code,
                                  message):
     # the example model at edge settings: ld fits no rate at t_max 0, the
-    # ODE halves its step until it converges, asymptotics needs no ODE, and
-    # the recursion refuses a grid whose half-grid reference is one step.
+    # ODE halves its step until it meets the closed form, asymptotics needs
+    # no ODE, and the recursion refuses a 2-step grid, whose end point is
+    # 0.014 in l1 from the closed form, but not a 256-step one (8.6e-7).
     # With one site the recursion has no level above the selection flow and
     # ld no residual; with every rate 0 each level repeats the one below.
     # A replicate count or seed out of range, from a flag or the config, an
@@ -566,6 +570,59 @@ def test_coarse_grid_exits_two(tmp_path):
                  "--method", "recursion"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["solve", "--method", "ode"], ["solve", "--method", "recursion"], ["ld"]],
+    ids=["verify", "solve-ode", "solve-recursion", "ld"],
+)
+def test_planted_closed_form_defect_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # one site's rate 1 % high in the closed form only: the ODE converges
+    # away from it and the recursion ends away from it, so each command
+    # exits 2 naming the l1 distance, after two RK4 runs at most
+    import time
+
+    from test_solvers import off_rate_closed_form
+
+    off_rate_closed_form(monkeypatch)
+    cfgp = tmp_path / "example.json"
+    cfgp.write_text(json.dumps(EXAMPLE))
+    out = tmp_path / "run"
+    tic = time.perf_counter()
+    assert main([*argv, "--config", str(cfgp), "--out", str(out)]) == 2
+    assert time.perf_counter() - tic < 10.0
+    err = capsys.readouterr().err
+    assert "in l1" in err and "from the closed form" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_refused_before_any_solver(tmp_path, capsys, monkeypatch, under):
+    cfgp = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "run" if under else blocker
+    calls = record_solver_calls(monkeypatch)
+    assert main(["solve", "--config", str(cfgp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--out {out}: {blocker} is not a directory" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_write_exits_one_naming_the_path(tmp_path, capsys):
+    # a directory where an output file goes passes the --out check, and
+    # opening it for writing fails after the solve
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    (out / "solve_meta.json").mkdir(parents=True)
+    assert main(["solve", "--config", str(cfgp), "--out", str(out),
+                 "--method", "semigroup"]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out / 'solve_meta.json'}" in err
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "run"
@@ -590,7 +647,7 @@ REQUIRED_ONLY = {key: BASE[key] for key in ("n", "i_star", "s", "rho", "initial"
 def test_required_keys_alone_solve_and_verify(tmp_path):
     # every other field takes its default (t_max 1, grid 512, quad_tol 1e-7,
     # seed 0, 10,000 replicates, z_threshold 4), which the recursion's
-    # half-step check and the Monte Carlo checks must accept
+    # check against the closed form and the Monte Carlo checks must accept
     cfgp = tmp_path / "required.json"
     cfgp.write_text(json.dumps(REQUIRED_ONLY))
     assert main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "solve"),

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import selrec.solvers
 from selrec import (
     GridTooCoarseError,
     Measure,
@@ -41,7 +42,13 @@ from selrec import (
     ypir_stationary,
 )
 from selrec.measure import Split
-from selrec.solvers import _cumulative_trapezoid, _recursion_levels, grid_index, make_rhs
+from selrec.solvers import (
+    SolverError,
+    _cumulative_trapezoid,
+    _recursion_levels,
+    grid_index,
+    make_rhs,
+)
 
 
 def random_prob(sites, rng):
@@ -227,6 +234,56 @@ def test_ode_halves_the_step_after_a_collapsed_run():
     traj = integrate_ode(cfg, nu, SolverSettings(t_max=20.0, grid_steps=2, quad_tol=1e-7))
     for t in (10.0, 20.0):
         assert l1_distance(traj.at_time(t), semigroup_solve(cfg, nu, t)) < 1e-6
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one entry per call of the solvers function name."""
+    calls = []
+    real = getattr(selrec.solvers, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selrec.solvers, name, wrapper)
+    return calls
+
+
+def off_rate_closed_form(monkeypatch):
+    """Plant a defect in the closed form only: semigroup_path solves a
+    model that has crossover sites with the first one's rate 1 % high."""
+    real = selrec.solvers.semigroup_path
+
+    def planted(cfg, omega0, times):
+        rho = list(cfg.rho)
+        for i in cfg.crossover_sites[:1]:
+            rho[i - 1] *= 1.01
+        return real(dataclasses.replace(cfg, rho=tuple(rho)), omega0, times)
+
+    monkeypatch.setattr(selrec.solvers, "semigroup_path", planted)
+
+
+def test_ode_returns_its_first_run_within_tolerance_of_the_closed_form(monkeypatch):
+    # the example model at 512 steps: one substep per cell already meets
+    # quad_tol against the closed form, so no run confirms it
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    runs = count_calls(monkeypatch, "_rk4_run")
+    traj = integrate_ode(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7))
+    assert runs == ["_rk4_run"]
+    assert l1_distance(traj.final(), semigroup_solve(cfg, nu, 1.0)) < 1e-7
+
+
+def test_ode_refuses_a_converged_run_away_from_the_closed_form(monkeypatch):
+    # the second run agrees with the first but not with the closed form:
+    # SolverError names the gap instead of halving the step 20 times
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    off_rate_closed_form(monkeypatch)
+    runs = count_calls(monkeypatch, "_rk4_run")
+    with pytest.raises(SolverError, match=r"converged \S+ in l1 away from the closed form"):
+        integrate_ode(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7))
+    assert len(runs) == 2
 
 
 def test_ode_constant_when_all_rates_vanish():
@@ -440,8 +497,9 @@ def test_settings_refuse_non_finite_times():
 
 
 def test_default_settings_pass_the_recursion_grid_check():
-    # the default quad_tol is one the half-step check at the default 512
-    # steps can meet (about 1.5e-7 here); 1e-8 raised GridTooCoarseError
+    # the default quad_tol is one the recursion's check against the closed
+    # form at the default 512 steps can meet (about 5.2e-8 here, against a
+    # bound of 10 * 1e-7)
     cfg = SiteConfig(n=2, i_star=1, s=0.8, rho=(0.0, 0.6))
     nu = product_measure(cfg.sites, [0.5, 0.7])
     rec = recursive_solve(cfg, nu, SolverSettings(t_max=1.0))
@@ -465,12 +523,24 @@ def test_recursion_coarse_grid_raises():
 
 
 def test_recursion_half_grid_check_never_compares_a_grid_with_itself():
-    # at 2 steps the reference pass takes 1 step; a 2-step reference would
-    # accept this run, which is 0.014 off the closed form in l1
+    # the check's reference is the closed form, never the run's own grid:
+    # this 2-step run is 0.014 off the closed form in l1
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     with pytest.raises(GridTooCoarseError):
         recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=2, quad_tol=1e-7))
+
+
+def test_recursion_walks_the_levels_once(monkeypatch):
+    # the end point is checked against the closed form, not a second pass
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    settings = SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7)
+    walks = count_calls(monkeypatch, "_recursion_levels")
+    recursive_solve(cfg, nu, settings)
+    assert len(walks) == 1
+    ld_decay_residuals(cfg, nu, settings)
+    assert len(walks) == 2
 
 
 # -- semigroup solution -------------------------------------------------------------
