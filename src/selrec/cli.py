@@ -151,18 +151,17 @@ def cmd_solve(args, exp: ExperimentConfig) -> _Run:
     for name in wanted:
         tic = time.perf_counter()
         if name == "ode":
-            traj = integrate_ode(exp.cfg, exp.omega0, exp.settings)
+            traj = integrate_ode(exp.cfg, exp.omega0, exp.settings, times)
             meta["ode_mass_drift"] = traj.mass_drift
         elif name == "recursion":
-            traj = recursive_solve(exp.cfg, exp.omega0, exp.settings)
+            # only the rows at times outlive the solver: the full grid
+            # array goes before the next method runs
+            traj = recursive_solve(exp.cfg, exp.omega0, exp.settings).at_times(times)
         else:
             vals = [m.values for m in semigroup_path(exp.cfg, exp.omega0, times)]
             traj = Trajectory(np.asarray(times), exp.cfg.sites, np.vstack(vals))
         runtimes[name] = time.perf_counter() - tic
-        # only the rows at times outlive the solver: a full grid array
-        # goes before the next method runs
-        solved[name] = traj.at_times(times)
-        del traj
+        solved[name] = traj
     meta["runtimes_seconds"] = runtimes
     if method == "all":
         table = []
@@ -430,8 +429,9 @@ def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
 def cmd_verify(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp)
     _check_line_counts(exp.cfg, _mc_time(exp), _FLAVORS)
-    # the forward problems on the config's own settings, shared by the checks
-    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings)
+    # the forward problems on the config's own settings, shared by the checks;
+    # they read the ODE's end point only
+    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings, (exp.settings.t_max,))
     # one pass of the recursion gives its solution and the level residuals
     rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
     checks = [

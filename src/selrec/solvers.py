@@ -36,6 +36,9 @@ from .measure import (
 from .sites import SiteConfig
 
 MAX_HALVINGS = 20
+# bytes of one row block of the level recursion and its residuals: the
+# arrays besides the levels themselves stay about this size
+_BLOCK_BYTES = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -44,7 +47,8 @@ class SolverError(RuntimeError):
 
 class GridTooCoarseError(SolverError):
     """Raised when the recursion's end point lies more than 10 * quad_tol
-    in l1 from the closed form."""
+    in l1 from the closed form: the grid is too coarse, or, when the
+    distance does not shrink with more steps, the two routes disagree."""
 
 
 @dataclass(frozen=True)
@@ -200,11 +204,12 @@ def logistic_fit_fraction(s: float, f0: float, t):
 
 # -- Runge-Kutta integrator ---------------------------------------------------
 
-def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
-    """Values on the grid and the largest mass drift, or None once the mass
+def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int, rows: np.ndarray):
+    """The values at the grid indices rows, in their order, the end point
+    and the largest mass drift over every step, or None once the mass
     collapses or stops being finite."""
-    out = np.empty((grid.size, v0.size))
-    out[0] = v0
+    out = np.empty((rows.size, v0.size))
+    out[rows == 0] = v0
     v = v0.copy()
     drift = 0.0
     for j in range(1, grid.size):
@@ -220,11 +225,16 @@ def _rk4_run(rhs, v0: np.ndarray, grid: np.ndarray, substeps: int):
                 return None
             drift = max(drift, abs(m - 1.0))
             v /= m
-        out[j] = v
-    return out, drift
+        out[rows == j] = v
+    return out, v, drift
 
 
-def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) -> Trajectory:
+def integrate_ode(
+    cfg: SiteConfig,
+    omega0: Measure,
+    settings: SolverSettings,
+    times: Iterable[float] | None = None,
+) -> Trajectory:
     """Classic fourth-order integration with step halving.
 
     The first run whose endpoint lies within quad_tol in l1 of the closed
@@ -234,32 +244,40 @@ def integrate_ode(cfg: SiteConfig, omega0: Measure, settings: SolverSettings) ->
     with the closed form raises SolverError: the two routes disagree.  The
     mass is renormalised after every step and the largest drift is
     recorded on the trajectory.
+
+    With times, only the grid rows at those times are stored, in their
+    order: the rows Trajectory.at_times(times) gives of the whole grid,
+    bit for bit.  A time off the grid raises ValueError before any step.
     """
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     rhs = make_rhs(cfg)
     grid = settings.grid()
+    if times is None:
+        rows = np.arange(grid.size)
+    else:
+        rows = np.array([grid_index(grid, t) for t in times], dtype=int)
     if settings.t_max == 0.0:
-        vals = np.tile(omega0.values, (grid.size, 1))
-        return Trajectory(grid, cfg.sites, vals)
+        vals = np.tile(omega0.values, (rows.size, 1))
+        return Trajectory(grid[rows], cfg.sites, vals)
     exact = semigroup_solve(cfg, omega0, settings.t_max).values
     cell = settings.t_max / settings.grid_steps
     step = settings.ode_step if settings.ode_step is not None else cell
     substeps = max(1, math.ceil(cell / step))
     prev_final = None
     for _ in range(MAX_HALVINGS + 1):
-        run = _rk4_run(rhs, omega0.values, grid, substeps)
+        run = _rk4_run(rhs, omega0.values, grid, substeps, rows)
         if run is None:
             prev_final = None
         else:
-            out, drift = run
-            gap = float(np.abs(out[-1] - exact).sum())
+            out, final, drift = run
+            gap = float(np.abs(final - exact).sum())
             if gap < settings.quad_tol:
-                return Trajectory(grid, cfg.sites, out, drift)
-            if prev_final is not None and np.abs(out[-1] - prev_final).sum() < settings.quad_tol:
+                return Trajectory(grid[rows], cfg.sites, out, drift)
+            if prev_final is not None and np.abs(final - prev_final).sum() < settings.quad_tol:
                 raise SolverError(f"the ODE converged {gap:.3e} in l1 away from the closed form")
-            # a copy of the endpoint, so the next run is the only trajectory
-            prev_final = out[-1].copy()
+            # the end point alone, so the next run is the only trajectory
+            prev_final = final
             del out, run
         substeps *= 2
     raise SolverError(
@@ -279,10 +297,10 @@ def recursive_solve(
 
     Each level couples the previous one through a single exponentially
     weighted time integral, evaluated by trapezoidal prefix sums on the
-    grid.  Only the level being built and the one below it are held; the
-    last level is the solution.  Its end point is compared with the closed
-    form at t_max, and a distance beyond 10 * quad_tol in l1 raises
-    GridTooCoarseError.
+    grid.  Only the level being built, the one below it and row blocks of
+    about _BLOCK_BYTES are held; the last level is the solution.  Its end
+    point is compared with the closed form at t_max, and a distance beyond
+    10 * quad_tol in l1 raises GridTooCoarseError.
     """
     return _walk_levels(cfg, omega0, settings, permutation)
 
@@ -295,7 +313,7 @@ def ld_decay_residuals(
 ) -> tuple[Trajectory, list[dict]]:
     """recursive_solve's solution and the ld_decay_residual of every level
     k = 1..n-1, each computed in the same pass while levels k-1 and k are
-    held."""
+    held, one row block at a time."""
     residuals = []
     return _walk_levels(cfg, omega0, settings, permutation, residuals), residuals
 
@@ -318,7 +336,9 @@ def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajecto
     if diff > 10.0 * settings.quad_tol:
         raise GridTooCoarseError(
             f"the recursion ends {diff:.3e} in l1 from the closed form, "
-            f"> 10 * {settings.quad_tol:.1e}; increase grid_steps"
+            f"> 10 * {settings.quad_tol:.1e}; increase grid_steps, and if the "
+            f"distance does not shrink with more steps, the recursion and the "
+            f"closed form disagree"
         )
     return Trajectory(times, cfg.sites, level)
 
@@ -328,8 +348,19 @@ def _cumulative_trapezoid(y, times):
     the order of operations of the SciPy routine cumulative_trapezoid, to
     the bit (tests/test_solvers.py compares the two)."""
     out = np.zeros_like(y)
-    np.cumsum(np.diff(times)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    # dt * (y[1:] + y[:-1]) / 2.0 and its prefix sums, built in out
+    step = np.add(y[1:], y[:-1], out=out[1:])
+    step *= np.diff(times)[:, None]
+    step /= 2.0
+    np.cumsum(step, axis=0, out=step)
     return out
+
+
+def _row_blocks(values: np.ndarray) -> list[slice]:
+    """Consecutive row ranges of a 2-d array, each of at most _BLOCK_BYTES
+    (one row at least)."""
+    rows = max(1, _BLOCK_BYTES // (values.shape[1] * values.itemsize))
+    return [slice(a, a + rows) for a in range(0, values.shape[0], rows)]
 
 
 def _recursion_levels(cfg, omega0, times, permutation):
@@ -343,25 +374,34 @@ def _recursion_levels(cfg, omega0, times, permutation):
     f0 = float(fv.sum())
     st = np.minimum(s * times, 500.0)
     e = np.exp(st)
-    level = (e[:, None] * fv[None, :] + (v0 - fv)[None, :]) / (
-        e * f0 + (1.0 - f0)
-    )[:, None]
+    # (e * fv + (v0 - fv)) / (e * f0 + 1 - f0), built in one array
+    level = e[:, None] * fv
+    level += v0 - fv
+    level /= (e * f0 + (1.0 - f0))[:, None]
     yield level
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
         if rate != 0.0:
-            split = Split(cfg.sites, *cfg.head_tail(i))
-            decay = np.exp(-rate * times)
-            # the trapezoid is linear, so it integrates the tail marginal only
-            integ = _cumulative_trapezoid(
-                (rate * decay)[:, None] * split.tail(level), times
-            )
-            # decay * level + product, added into the product's fresh buffer
-            # (IEEE addition commutes, so the bits are those of the sum)
-            new = split.product(split.head(level), integ)
-            new += decay[:, None] * level
-            level = new
+            level = _next_level(cfg, i, rate, times, level)
         yield level
+
+
+def _next_level(cfg, i, rate, times, level):
+    """The level that adds crossover site i at a positive rate to level.
+    Its own temporaries go when it returns, so a suspended walk holds the
+    levels alone."""
+    split = Split(cfg.sites, *cfg.head_tail(i))
+    decay = np.exp(-rate * times)
+    # the trapezoid is linear, so it integrates the tail marginal only
+    integ = _cumulative_trapezoid((rate * decay)[:, None] * split.tail(level), times)
+    # product + decay * level, one block of rows at a time: a row's
+    # marginals do not depend on the rows reduced with it, and IEEE addition
+    # commutes, so the bits are those of the whole-array sum
+    new = np.empty_like(level)
+    for r in _row_blocks(level):
+        split.product(split.head(level[r]), integ[r], out=new[r])
+        new[r] += decay[r, None] * level[r]
+    return new
 
 
 def linkage_disequilibrium(cfg: SiteConfig, i: int, nu: Measure) -> Measure:
@@ -382,20 +422,27 @@ def ld_decay_residual(
     one row per time; neither is written."""
     rate = cfg.rho_of(i)
     split = Split(cfg.sites, *cfg.head_tail(i))
+    decay = np.exp(-rate * times)
 
     def deviation(W):
         out = split.product(split.head(W), split.tail(W))
         return np.subtract(W, out, out=out)
 
-    # the same operations as lhs - decay * below and its norms, on two
-    # buffers: each in-place step gives the bits of its out-of-place form
-    rhs = deviation(below)
-    below_norms = np.abs(rhs).sum(axis=1)
-    rhs *= np.exp(-rate * times)[:, None]
-    lhs = deviation(level)
-    diff = np.subtract(lhs, rhs, out=rhs)
-    err = np.abs(diff, out=diff).sum(axis=1)
-    norms = np.abs(lhs, out=lhs).sum(axis=1)
+    def row_norms(r):
+        # the same operations as lhs - decay * below and its norms, on two
+        # buffers: each in-place step gives the bits of its out-of-place form
+        rhs = deviation(below[r])
+        below_norms = np.abs(rhs).sum(axis=1)
+        rhs *= decay[r, None]
+        lhs = deviation(level[r])
+        diff = np.subtract(lhs, rhs, out=rhs)
+        return np.abs(diff, out=diff).sum(axis=1), np.abs(lhs, out=lhs).sum(axis=1), below_norms
+
+    # one block of rows at a time: a row's sum does not depend on the rows
+    # summed with it
+    err, norms, below_norms = (np.empty(level.shape[0]) for _ in range(3))
+    for r in _row_blocks(level):
+        err[r], norms[r], below_norms[r] = row_norms(r)
     scale = max(float(norms.max()), 1e-30)
     return {
         "site": i,

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from selrec import (
 )
 from selrec.measure import Split
 from selrec.solvers import (
+    _BLOCK_BYTES,
     SolverError,
     _cumulative_trapezoid,
     _recursion_levels,
@@ -286,6 +289,37 @@ def test_ode_refuses_a_converged_run_away_from_the_closed_form(monkeypatch):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize(
+    "t_max, steps, times",
+    [(1.0, 512, [0.75, 0.0, 0.25, 0.75, 1.0]),
+     # the first run collapses and the step is halved
+     (20.0, 2, [20.0, 0.0, 10.0, 20.0]),
+     (0.0, 4, [0.0, 0.0])],
+    ids=["example", "halved", "t-max-0"],
+)
+def test_ode_rows_at_times_equal_the_full_runs_rows(t_max, steps, times):
+    # times out of order, repeated and at t = 0: the stored rows are the
+    # whole-grid run's rows at those times, with its mass drift, bit for bit
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    settings = SolverSettings(t_max=t_max, grid_steps=steps, quad_tol=1e-7)
+    full = integrate_ode(cfg, nu, settings)
+    rows = integrate_ode(cfg, nu, settings, times)
+    expect = full.at_times(times)
+    assert np.array_equal(rows.times, expect.times)
+    assert np.array_equal(rows.values, expect.values)
+    assert rows.mass_drift == full.mass_drift and rows.sites == cfg.sites
+
+
+def test_ode_refuses_a_time_off_the_grid_before_any_step(monkeypatch):
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    runs = count_calls(monkeypatch, "_rk4_run")
+    with pytest.raises(ValueError, match="not on the solver grid"):
+        integrate_ode(cfg, nu, SolverSettings(t_max=1.0, grid_steps=4), [0.5, 0.3])
+    assert runs == []
+
+
 def test_ode_constant_when_all_rates_vanish():
     cfg = SiteConfig(n=2, i_star=1, s=0.0, rho=(0.0, 0.0))
     rng = spawn_stream(101, 4)
@@ -446,6 +480,57 @@ def test_streamed_walk_equals_the_level_list_bit_for_bit():
             assert np.array_equal(levels[k], levels[k - 1])
 
 
+def test_streamed_walk_equals_the_level_list_bit_for_bit_in_one_row_blocks(monkeypatch):
+    # the levels and residuals built one row at a time: the random models
+    # above fit one default block, so this is the per-row side of the check
+    monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", 1)
+    test_streamed_walk_equals_the_level_list_bit_for_bit()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, above those held before it:
+    numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _budget_model():
+    # n = 10 with the selected site in the middle: every tail marginal is
+    # at most 2^5 wide, far below a row block
+    rng = spawn_stream(101, 45)
+    rho = tuple(0.0 if i == 5 else float(rng.uniform(0.2, 0.8)) for i in range(1, 11))
+    cfg = SiteConfig(n=10, i_star=5, s=0.8, rho=rho)
+    return cfg, random_prob(cfg.sites, rng), SolverSettings(t_max=1.0, grid_steps=256,
+                                                            quad_tol=1e-4)
+
+
+@pytest.mark.parametrize("solver", [recursive_solve, ld_decay_residuals],
+                         ids=["recursive_solve", "ld_decay_residuals"])
+def test_recursion_holds_two_levels_and_row_blocks(solver):
+    cfg, nu, settings = _budget_model()
+    row = 2 ** cfg.n * 8
+    level = (settings.grid_steps + 1) * row
+    block = max(1, _BLOCK_BYTES // row) * row
+    peak = traced_peak(lambda: solver(cfg, nu, settings))
+    assert peak <= 2 * level + 4 * block, peak / level
+
+
+def test_ode_holds_the_requested_rows():
+    cfg, nu, settings = _budget_model()
+    row = 2 ** cfg.n * 8
+    for times in ([1.0], [0.5, 0.0, 1.0, 0.5] * 10):
+        peak = traced_peak(lambda: integrate_ode(cfg, nu, settings, times))
+        assert peak <= (len(times) + 24) * row, (len(times), peak / row)
+    # the whole grid, as the budget's contrast
+    peak = traced_peak(lambda: integrate_ode(cfg, nu, settings))
+    assert peak >= (settings.grid_steps + 1) * row
+
+
 def test_linkage_disequilibrium_needs_a_crossover_site():
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(0.6, 0.0, 0.4))
     with pytest.raises(ValueError):
@@ -529,6 +614,25 @@ def test_recursion_half_grid_check_never_compares_a_grid_with_itself():
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     with pytest.raises(GridTooCoarseError):
         recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=2, quad_tol=1e-7))
+
+
+def test_recursion_names_a_disagreement_that_more_steps_do_not_shrink(monkeypatch):
+    # a closed form with one rate 1 % off: four times the steps leave the
+    # distance where it was, and the message says what that means
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    off_rate_closed_form(monkeypatch)
+    gaps = []
+    for steps in (512, 2048):
+        with pytest.raises(GridTooCoarseError) as err:
+            recursive_solve(cfg, nu, SolverSettings(t_max=1.0, grid_steps=steps,
+                                                    quad_tol=1e-7))
+        msg = str(err.value)
+        assert "increase grid_steps" in msg
+        assert ("if the distance does not shrink with more steps, the recursion "
+                "and the closed form disagree") in msg
+        gaps.append(float(re.search(r"ends (\S+) in l1", msg).group(1)))
+    assert gaps[1] > 0.9 * gaps[0] > 1e-3
 
 
 def test_recursion_walks_the_levels_once(monkeypatch):
