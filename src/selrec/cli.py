@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -133,45 +135,40 @@ def _comparison_times(settings: SolverSettings) -> list[float]:
     return [float(grid[j]) for j in idx]
 
 
+# each solver by name, called with the output times: its rows at those times
+_SOLVERS = {
+    "ode": lambda exp, times: integrate_ode(exp.cfg, exp.omega0, exp.settings, times),
+    "recursion": lambda exp, times: recursive_solve(exp.cfg, exp.omega0, exp.settings, times),
+    "semigroup": lambda exp, times: Trajectory(
+        np.asarray(times), exp.cfg.sites,
+        np.vstack([m.values for m in semigroup_path(exp.cfg, exp.omega0, times)])),
+}
+
+
 def cmd_solve(args, exp: ExperimentConfig) -> _Run:
     method = args.method
-    meta: dict = {"method": method,
-                  "settings": {
-                      "t_max": exp.settings.t_max,
-                      "grid_steps": exp.settings.grid_steps,
-                      "ode_step": exp.settings.ode_step,
-                      "quad_tol": exp.settings.quad_tol,
-                  }}
+    meta: dict = {"method": method, "settings": dataclasses.asdict(exp.settings)}
     solved: dict[str, Trajectory] = {}
     runtimes: dict[str, float] = {}
-    wanted = ("ode", "recursion", "semigroup") if method == "all" else (method,)
+    wanted = tuple(_SOLVERS) if method == "all" else (method,)
     times = exp.output_times
     if times is None:
         times = _comparison_times(exp.settings)
     for name in wanted:
         tic = time.perf_counter()
-        if name == "ode":
-            traj = integrate_ode(exp.cfg, exp.omega0, exp.settings, times)
-            meta["ode_mass_drift"] = traj.mass_drift
-        elif name == "recursion":
-            # only the rows at times outlive the solver: the full grid
-            # array goes before the next method runs
-            traj = recursive_solve(exp.cfg, exp.omega0, exp.settings).at_times(times)
-        else:
-            vals = [m.values for m in semigroup_path(exp.cfg, exp.omega0, times)]
-            traj = Trajectory(np.asarray(times), exp.cfg.sites, np.vstack(vals))
+        solved[name] = _SOLVERS[name](exp, times)
         runtimes[name] = time.perf_counter() - tic
-        solved[name] = traj
     meta["runtimes_seconds"] = runtimes
+    if "ode" in solved:
+        meta["ode_mass_drift"] = solved["ode"].mass_drift
     if method == "all":
         table = []
         # row j of every trajectory in solved is its row at times[j]
         for j, t in enumerate(times):
             row = {"t": t}
-            vals = {name: solved[name].values[j] for name in wanted}
-            for a, b in (("ode", "recursion"), ("ode", "semigroup"),
-                         ("recursion", "semigroup")):
-                row[f"l1_{a}_{b}"] = float(np.abs(vals[a] - vals[b]).sum())
+            for a, b in itertools.combinations(wanted, 2):
+                diff = solved[a].values[j] - solved[b].values[j]
+                row[f"l1_{a}_{b}"] = float(np.abs(diff).sum())
             table.append(row)
         meta["pairwise_l1"] = table
         meta["max_pairwise_l1"] = max(
@@ -270,8 +267,9 @@ def cmd_asymptotics(args, exp: ExperimentConfig) -> _Run:
 
 
 def cmd_ld(args, exp: ExperimentConfig) -> _Run:
-    solution, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
-    times = solution.times
+    # the residuals cover the whole grid; no solution row is read
+    _, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings, ())
+    times = exp.settings.grid()
     levels = []
     for level, res in enumerate(residuals, start=1):
         norms = res["lhs_norms"]
@@ -430,10 +428,10 @@ def cmd_verify(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp)
     _check_line_counts(exp.cfg, _mc_time(exp), _FLAVORS)
     # the forward problems on the config's own settings, shared by the checks;
-    # they read the ODE's end point only
+    # they read the end points only
     ode = integrate_ode(exp.cfg, exp.omega0, exp.settings, (exp.settings.t_max,))
-    # one pass of the recursion gives its solution and the level residuals
-    rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings)
+    # one pass of the recursion gives its end point and the level residuals
+    rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings, (exp.settings.t_max,))
     checks = [
         _check_solver_agreement(exp, ode, rec),
         _check_product_algebra(exp, seed),
@@ -467,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = subs.add_parser(name, help=help_)
         if name == "solve":
-            p.add_argument("--method", choices=["ode", "recursion", "semigroup", "all"],
-                           default="all")
+            p.add_argument("--method", choices=[*_SOLVERS, "all"], default="all")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=".", help="output directory")
         if monte_carlo:

@@ -19,7 +19,7 @@ import numpy as np
 from .duals import _FLAVORS
 from .measure import MASS_TOL, NEG_TOL, ProbabilityMeasure, product_measure
 from .sites import SiteConfig
-from .solvers import SolverSettings, grid_index
+from .solvers import SolverSettings, _grid_rows
 
 
 class ConfigError(ValueError):
@@ -51,7 +51,6 @@ FIELDS = {
     "initial": Field("initial"),
     "t_max": Field("number", 1.0),
     "grid_steps": Field("integer", 512, read_by=("solve", "verify", "asymptotics", "ld")),
-    "ode_step": Field("number", None, read_by=("solve", "verify")),
     "quad_tol": Field("number", 1e-7, read_by=("solve", "verify", "ld")),
     "output_times": Field("numbers", None, read_by=("solve",)),
     "seed": Field("integer", 0, ">= 0", ("dual", "moran", "verify")),
@@ -154,7 +153,7 @@ class ExperimentConfig:
         omega0 = _parse_initial(cfg, values.pop("initial"))
         try:
             settings = SolverSettings(
-                **{k: values.pop(k) for k in ("t_max", "grid_steps", "ode_step", "quad_tol")})
+                **{k: values.pop(k) for k in ("t_max", "grid_steps", "quad_tol")})
         except ValueError as exc:
             raise ConfigError(f"invalid solver settings: {exc}") from exc
         times = values["output_times"]
@@ -164,13 +163,11 @@ class ExperimentConfig:
                                   "or null for the comparison times")
             if not all(0 <= t <= settings.t_max + 1e-12 for t in times):
                 raise ConfigError("output_times must lie in [0, t_max]")
-            grid = settings.grid()
-            for t in times:
-                try:
-                    grid_index(grid, t)
-                except ValueError as exc:
-                    spacing = settings.t_max / settings.grid_steps
-                    raise ConfigError(f"output {exc} of spacing {spacing!r}") from None
+            try:
+                _grid_rows(settings.grid(), times)
+            except ValueError as exc:
+                spacing = settings.t_max / settings.grid_steps
+                raise ConfigError(f"output {exc} of spacing {spacing!r}") from None
         return cls(raw=raw, cfg=cfg, omega0=omega0, settings=settings, **values)
 
 

@@ -34,6 +34,7 @@ from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
     _DualityChain,
+    _check_time,
     _integral,
     _renewal_density,
     _started_mass_pgf,
@@ -60,8 +61,7 @@ def ypir_simulate(cfg: SiteConfig, i: int, k0: int, t: float, rng) -> int:
     """
     if k0 < 0:
         raise ValueError("count must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     s, rho, r = _site_rates(cfg, i)
     k = int(k0)
     clock = 0.0
@@ -136,8 +136,7 @@ def ypir_block_simulate(cfg: SiteConfig, m0, t: float, rng, size: int) -> np.nda
         raise ValueError(f"need one count per site, length {cfg.n}")
     if np.any(m0 < 0):
         raise ValueError("counts must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     _check_count_growth(cfg, m0, t)
     out = np.zeros((size, cfg.n), dtype=np.int64)
     resetting = cfg.resetting_rates()
@@ -249,8 +248,7 @@ def ypir_semigroup(
     """
     if m0 < 0:
         raise ValueError("count must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if t == 0.0:
         return IntDistribution.point_mass(m0)
     s, rho, r = _site_rates(cfg, i)
@@ -279,8 +277,7 @@ def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     """E[x^(count at t)] started from m0, for x in [0, 1]."""
     if m0 < 0:
         raise ValueError("count must be >= 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     s, rho, r = _site_rates(cfg, i)
@@ -403,8 +400,7 @@ def initiation_simulate(
     resetting rate.
     """
     state.require_selected_real(cfg)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     out = []
     for i in cfg.sites:
         e = state.entries[i - 1]
@@ -438,8 +434,7 @@ def initiation_block_simulate(
     started from state; one row per replicate, one column per site, nan
     where the site has not started (DELTA)."""
     state.require_selected_real(cfg)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     out = np.empty((size, cfg.n))
     resetting = cfg.resetting_rates()
     for i in cfg.sites:
@@ -729,6 +724,7 @@ def mc_solution_estimate(
         raise ValueError(f"flavor must be one of {_FLAVORS}")
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
+    _check_time(t)
     start = _canonical_start(cfg, _SAMPLERS[flavor])
     blocks = _dual_rows(cfg, omega0, start, t, replicates, seed)
     return _estimate(cfg, blocks, flavor, seed)

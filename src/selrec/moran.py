@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import ProbabilityMeasure, l1_distance
 from .sites import SiteConfig
-from .solvers import semigroup_solve
+from .solvers import _check_time, semigroup_solve
 from .rng import spawn_stream
 
 _EVENT_CHUNK = 1 << 16
@@ -77,8 +77,7 @@ def moran_simulate(
     uniformly, so a run typically meets its first conflict after about
     sqrt(N) events; a longer window would only add work.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     N = state.size
     sites = cfg.crossover_sites
     kinds = ["neutral", "selective"] + [f"recombination_{i}" for i in sites]
@@ -203,6 +202,7 @@ def lln_convergence(
     """Mean l1 distance between the empirical measure at time t and the
     deterministic solution, per population size, with a fitted log-log
     slope (None unless there are two distinct sizes)."""
+    _check_time(t)
     if replicates < 2:
         raise ValueError("need at least two replicates")
     sizes = [int(N) for N in population_sizes]

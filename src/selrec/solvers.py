@@ -55,15 +55,13 @@ class GridTooCoarseError(SolverError):
 class SolverSettings:
     """Discretisation parameters shared by the grid-based solvers.
 
-    t_max is the end time, grid_steps the number of grid intervals,
-    ode_step the initial integrator step (defaults to the grid spacing)
-    and quad_tol the l1 distance from the closed form at t_max that the
+    t_max is the end time, grid_steps the number of grid intervals and
+    quad_tol the l1 distance from the closed form at t_max that the
     integrator must reach, and a tenth of the recursion's bound.
     """
 
     t_max: float
     grid_steps: int = 512
-    ode_step: float | None = None
     quad_tol: float = 1e-7
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class SolverSettings:
             raise ValueError(f"t_max must be finite and >= 0, got {self.t_max}")
         if not isinstance(self.grid_steps, int) or self.grid_steps < 2:
             raise ValueError("grid_steps must be an integer >= 2")
-        if self.ode_step is not None and not 0 < self.ode_step < math.inf:
-            raise ValueError(f"ode_step must be finite and positive, got {self.ode_step}")
         if not (0.0 < self.quad_tol <= 1e-3):
             raise ValueError("quad_tol must lie in (0, 1e-3]")
 
@@ -86,6 +82,20 @@ def grid_index(times: np.ndarray, t: float) -> int:
     if abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the solver grid")
     return j
+
+
+def _grid_rows(grid: np.ndarray, times: Iterable[float] | None) -> np.ndarray:
+    """The grid indices of times, in their order (every index for None);
+    a time off the grid raises ValueError."""
+    if times is None:
+        return np.arange(grid.size)
+    return np.array([grid_index(grid, t) for t in times], dtype=int)
+
+
+def _check_time(t: float) -> None:
+    """Refuse a negative, NaN or infinite time."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
 
 
 class Trajectory:
@@ -114,13 +124,6 @@ class Trajectory:
     def final_probability(self) -> ProbabilityMeasure:
         v = self.values[-1]
         return ProbabilityMeasure(self.sites, v / v.sum())
-
-    def at_times(self, times) -> "Trajectory":
-        """The rows at the grid points of times, in their order: a copy, so
-        the full array can be dropped.  Grid times and mass drift are kept,
-        so a row written from it is the full trajectory's row."""
-        idx = [self.index_of_time(t) for t in times]
-        return Trajectory(self.times[idx], self.sites, self.values[idx], self.mass_drift)
 
     def column_labels(self) -> list[str]:
         # character j of a label is bit j of the index: the j-th site's letter
@@ -184,8 +187,7 @@ def selection_flow(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMea
     """
     if cfg.i_star not in omega0.sites:
         raise ValueError("initial measure must cover the selected site")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     st = cfg.s * t
     if st > 500.0:
         return ProbabilityMeasure(omega0.sites, cond_fit(omega0, cfg.i_star).values)
@@ -235,7 +237,8 @@ def integrate_ode(
     settings: SolverSettings,
     times: Iterable[float] | None = None,
 ) -> Trajectory:
-    """Classic fourth-order integration with step halving.
+    """Classic fourth-order integration with step halving, from one step
+    per grid cell.
 
     The first run whose endpoint lies within quad_tol in l1 of the closed
     form semigroup_solve at t_max is returned; otherwise the step is
@@ -246,24 +249,19 @@ def integrate_ode(
     recorded on the trajectory.
 
     With times, only the grid rows at those times are stored, in their
-    order: the rows Trajectory.at_times(times) gives of the whole grid,
-    bit for bit.  A time off the grid raises ValueError before any step.
+    order: the whole grid's rows at those times, bit for bit.  A time off
+    the grid raises ValueError before any step.
     """
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     rhs = make_rhs(cfg)
     grid = settings.grid()
-    if times is None:
-        rows = np.arange(grid.size)
-    else:
-        rows = np.array([grid_index(grid, t) for t in times], dtype=int)
+    rows = _grid_rows(grid, times)
     if settings.t_max == 0.0:
         vals = np.tile(omega0.values, (rows.size, 1))
         return Trajectory(grid[rows], cfg.sites, vals)
     exact = semigroup_solve(cfg, omega0, settings.t_max).values
-    cell = settings.t_max / settings.grid_steps
-    step = settings.ode_step if settings.ode_step is not None else cell
-    substeps = max(1, math.ceil(cell / step))
+    substeps = 1
     prev_final = None
     for _ in range(MAX_HALVINGS + 1):
         run = _rk4_run(rhs, omega0.values, grid, substeps, rows)
@@ -291,6 +289,8 @@ def recursive_solve(
     cfg: SiteConfig,
     omega0: Measure,
     settings: SolverSettings,
+    times: Iterable[float] | None = None,
+    *,
     permutation: Sequence[int] | None = None,
 ) -> Trajectory:
     """Solve by adding one crossover site per level.
@@ -301,35 +301,42 @@ def recursive_solve(
     about _BLOCK_BYTES are held; the last level is the solution.  Its end
     point is compared with the closed form at t_max, and a distance beyond
     10 * quad_tol in l1 raises GridTooCoarseError.
+
+    With times, the returned rows are a copy of the last level's grid rows
+    at those times, in their order; a time off the grid raises ValueError
+    before any level.  None keeps the whole grid.
     """
-    return _walk_levels(cfg, omega0, settings, permutation)
+    return _walk_levels(cfg, omega0, settings, times, permutation)
 
 
 def ld_decay_residuals(
     cfg: SiteConfig,
     omega0: Measure,
     settings: SolverSettings,
+    times: Iterable[float] | None = None,
+    *,
     permutation: Sequence[int] | None = None,
 ) -> tuple[Trajectory, list[dict]]:
-    """recursive_solve's solution and the ld_decay_residual of every level
-    k = 1..n-1, each computed in the same pass while levels k-1 and k are
-    held, one row block at a time."""
+    """recursive_solve's solution at times and the ld_decay_residual of
+    every level k = 1..n-1 on the whole grid, each computed in the same
+    pass while levels k-1 and k are held, one row block at a time."""
     residuals = []
-    return _walk_levels(cfg, omega0, settings, permutation, residuals), residuals
+    return _walk_levels(cfg, omega0, settings, times, permutation, residuals), residuals
 
 
-def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajectory:
+def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> Trajectory:
     """The one driver of the recursion.  Streams the levels on the settings'
     grid once, appending to residuals, when given, the ld_decay_residual of
     each level above the first; then checks the last level's end point
-    against the closed form and returns the last level."""
+    against the closed form and returns its rows at times."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
-    times = settings.grid()
-    for k, level in enumerate(_recursion_levels(cfg, omega0, times, permutation)):
+    grid = settings.grid()
+    rows = _grid_rows(grid, times)
+    for k, level in enumerate(_recursion_levels(cfg, omega0, grid, permutation)):
         if k and residuals is not None:
-            residuals.append(ld_decay_residual(cfg, permutation[k], times, level, below))
+            residuals.append(ld_decay_residual(cfg, permutation[k], grid, level, below))
         below = level
     exact = semigroup_solve(cfg, omega0, settings.t_max).values
     diff = float(np.abs(level[-1] - exact).sum())
@@ -340,19 +347,24 @@ def _walk_levels(cfg, omega0, settings, permutation, residuals=None) -> Trajecto
             f"distance does not shrink with more steps, the recursion and the "
             f"closed form disagree"
         )
-    return Trajectory(times, cfg.sites, level)
+    # a copy of the rows, so the level goes when the walk returns
+    return Trajectory(grid[rows], cfg.sites, level if times is None else level[rows])
 
 
-def _cumulative_trapezoid(y, times):
+def _cumulative_trapezoid(y, times, start=None):
     """Trapezoid integrals of the rows of y from times[0] to each time, in
     the order of operations of the SciPy routine cumulative_trapezoid, to
-    the bit (tests/test_solvers.py compares the two)."""
-    out = np.zeros_like(y)
+    the bit (tests/test_solvers.py compares the two).  With start, the
+    integral at times[0]: the prefix sums run on from it, through the
+    additions and in the order of a run over the whole grid."""
+    out = np.empty_like(y)
+    out[0] = 0.0 if start is None else start
     # dt * (y[1:] + y[:-1]) / 2.0 and its prefix sums, built in out
     step = np.add(y[1:], y[:-1], out=out[1:])
     step *= np.diff(times)[:, None]
     step /= 2.0
-    np.cumsum(step, axis=0, out=step)
+    summed = step if start is None else out
+    np.cumsum(summed, axis=0, out=summed)
     return out
 
 
@@ -392,14 +404,24 @@ def _next_level(cfg, i, rate, times, level):
     levels alone."""
     split = Split(cfg.sites, *cfg.head_tail(i))
     decay = np.exp(-rate * times)
-    # the trapezoid is linear, so it integrates the tail marginal only
-    integ = _cumulative_trapezoid((rate * decay)[:, None] * split.tail(level), times)
     # product + decay * level, one block of rows at a time: a row's
     # marginals do not depend on the rows reduced with it, and IEEE addition
     # commutes, so the bits are those of the whole-array sum
     new = np.empty_like(level)
+    integral = None
     for r in _row_blocks(level):
-        split.product(split.head(level[r]), integ[r], out=new[r])
+        # the trapezoid is linear, so it integrates the tail marginal only;
+        # a block takes the row before it too, whose integral starts the
+        # prefix sums unless that row is the grid's first
+        a = max(r.start - 1, 0)
+        y = (rate * decay[a:r.stop])[:, None] * split.tail(level[a:r.stop])
+        integ = _cumulative_trapezoid(y, times[a:r.stop], integral if a else None)[r.start - a:]
+        # each block array goes as soon as it is read: with the selected
+        # site first or last a tail block is half a row block
+        del y
+        integral = integ[-1].copy()
+        split.product(split.head(level[r]), integ, out=new[r])
+        del integ
         new[r] += decay[r, None] * level[r]
     return new
 
@@ -590,8 +612,8 @@ def semigroup_path(cfg: SiteConfig, omega0: Measure, times: Iterable[float]):
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     times = list(times)
-    if any(t < 0 for t in times):
-        raise ValueError("t must be >= 0")
+    for t in times:
+        _check_time(t)
     chain = None
     for t in times:
         if t == 0.0:

@@ -19,17 +19,16 @@ PROBE_IDS = ["null", "string", "true", "fraction", "nan", "inf", "-inf", "-1", "
              "list", "object"]
 # the pairs that load: a fraction in a real field, null where null is the
 # default, and one entry in a list of times or of sizes
-VALID = [("s", 0.5), ("t_max", 0.5), ("ode_step", None), ("ode_step", 0.5),
-         ("output_times", None), ("output_times", [1.0]), ("z_threshold", 0.5),
+VALID = [("s", 0.5), ("t_max", 0.5), ("output_times", None), ("output_times", [1.0]), ("z_threshold", 0.5),
          ("agreement_tol", 0.5), ("moran_population_sizes", [1.0])]
 PAIRS = [(field, value, f"{field}-{vid}") for field in FIELDS
          for value, vid in zip(PROBES, PROBE_IDS)]
 
 
 def test_probe_set_covers_every_field():
-    assert len(FIELDS) == 17
-    assert len(PAIRS) == 187
-    assert sum((field, value) not in VALID for field, value, _ in PAIRS) == 178
+    assert len(FIELDS) == 16
+    assert len(PAIRS) == 176
+    assert sum((field, value) not in VALID for field, value, _ in PAIRS) == 169
 
 
 def _run(argv, cfgp, out):
@@ -63,6 +62,20 @@ def test_invalid_value_refused_before_any_work(tmp_path, capsys, monkeypatch, fi
 @pytest.mark.parametrize("field, value", VALID)
 def test_valid_value_loads(field, value):
     ExperimentConfig.from_dict({**EXAMPLE, field: value})
+
+
+@pytest.mark.parametrize("value", [None, 0.5], ids=["null", "fraction"])
+def test_retired_ode_step_key_is_an_unknown_field(tmp_path, capsys, monkeypatch, value):
+    # the ODE starts at one step per grid cell; a config naming the old
+    # start-step key exits 1 before any solver runs
+    cfgp = tmp_path / "old.json"
+    cfgp.write_text(json.dumps({**EXAMPLE, "ode_step": value}))
+    calls = record_solver_calls(monkeypatch)
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        assert _run([command], cfgp, out) == 1, command
+        assert "unknown config fields: ['ode_step']" in capsys.readouterr().err
+        assert calls == [] and not out.exists(), command
 
 
 @pytest.mark.parametrize("field", ["s", "rho", "t_max", "z_threshold"])

@@ -29,13 +29,17 @@ from selrec import (
     initiation_block_simulate,
     initiation_simulate,
     integrate_ode,
+    lln_convergence,
     l1_distance,
     logistic_fit_fraction,
     mc_solution_estimate,
+    moran_simulate,
     product_measure,
     runtime_for_count,
     runtimes_from_counts,
+    sample_population,
     selection_flow,
+    semigroup_solve,
     spawn_stream,
     wpp_simulate,
     ypir_block_simulate,
@@ -268,6 +272,35 @@ def test_pgf_refuses_negative_time_and_count():
         ypir_pgf(cfg, 2, 0, -1.0, 0.5)
     with pytest.raises(ValueError, match="count must be >= 0"):
         ypir_pgf(cfg, 2, -1, 1.0, 0.5)
+
+
+_TIMED = {
+    "ypir_simulate": lambda cfg, nu, t, rng: ypir_simulate(cfg, 1, 1, t, rng),
+    "ypir_block_simulate": lambda cfg, nu, t, rng: ypir_block_simulate(cfg, [0, 1, 0], t,
+                                                                       rng, 4),
+    "ypir_semigroup": lambda cfg, nu, t, rng: ypir_semigroup(cfg, 1, 1, t),
+    "ypir_pgf": lambda cfg, nu, t, rng: ypir_pgf(cfg, 1, 1, t, 0.5),
+    "initiation_simulate": lambda cfg, nu, t, rng: initiation_simulate(
+        cfg, InitiationState.initial(cfg), t, rng),
+    "initiation_block_simulate": lambda cfg, nu, t, rng: initiation_block_simulate(
+        cfg, InitiationState.initial(cfg), t, rng, 4),
+    "moran_simulate": lambda cfg, nu, t, rng: moran_simulate(
+        cfg, sample_population(cfg, 10, nu, rng), t, rng),
+    "selection_flow": lambda cfg, nu, t, rng: selection_flow(cfg, nu, t),
+    "semigroup_solve": lambda cfg, nu, t, rng: semigroup_solve(cfg, nu, t),
+    "mc_solution_estimate": lambda cfg, nu, t, rng: mc_solution_estimate(cfg, nu, t, 10, 1),
+    "lln_convergence": lambda cfg, nu, t, rng: lln_convergence(cfg, nu, t, [10], 2, 1),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("name", list(_TIMED))
+def test_every_timed_routine_refuses_a_bad_time(name, t):
+    # one message for a negative, NaN or infinite time, before any draw
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = product_measure(cfg.sites, [0.3, 0.6, 0.2])
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        _TIMED[name](cfg, nu, t, spawn_stream(1, 0))
 
 
 def test_gauss_legendre_closed_forms_match_quad():

@@ -305,9 +305,9 @@ def test_ode_rows_at_times_equal_the_full_runs_rows(t_max, steps, times):
     settings = SolverSettings(t_max=t_max, grid_steps=steps, quad_tol=1e-7)
     full = integrate_ode(cfg, nu, settings)
     rows = integrate_ode(cfg, nu, settings, times)
-    expect = full.at_times(times)
-    assert np.array_equal(rows.times, expect.times)
-    assert np.array_equal(rows.values, expect.values)
+    idx = [grid_index(full.times, t) for t in times]
+    assert np.array_equal(rows.times, full.times[idx])
+    assert np.array_equal(rows.values, full.values[idx])
     assert rows.mass_drift == full.mass_drift and rows.sites == cfg.sites
 
 
@@ -367,7 +367,7 @@ def test_trajectory_time_lookup():
 
 # -- recursion --------------------------------------------------------------------
 
-def test_trapezoid_prefix_sum_matches_scipy_bits():
+def test_trapezoid_prefix_sum_matches_scipy_bits(monkeypatch):
     from scipy.integrate import cumulative_trapezoid
 
     times = np.linspace(0.0, 0.7, 129)  # steps unequal in the last bits
@@ -376,6 +376,21 @@ def test_trapezoid_prefix_sum_matches_scipy_bits():
         _cumulative_trapezoid(y, times),
         cumulative_trapezoid(y, x=times, axis=0, initial=0.0),
     )
+    # a level built in row blocks, whose tail integral runs on across every
+    # block boundary, against SciPy's integral over the whole grid; with the
+    # selected site first the tail is n - 1 sites wide
+    cfg = SiteConfig(n=7, i_star=1, s=0.8, rho=(0.0, 0.7, 0.4, 0.9, 0.3, 0.6, 0.5))
+    level = spawn_stream(101, 32).random((129, 2 ** cfg.n))
+    split = Split(cfg.sites, *cfg.head_tail(2))
+    decay = np.exp(-0.7 * times)
+    integ = cumulative_trapezoid((0.7 * decay)[:, None] * split.tail(level), x=times, axis=0,
+                                 initial=0.0)
+    expect = split.product(split.head(level), integ) + decay[:, None] * level
+    row = level.shape[1] * level.itemsize
+    for rows in (1, 2, 7, 129):
+        monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", rows * row)
+        got = selrec.solvers._next_level(cfg, 2, 0.7, times, level)
+        assert np.array_equal(got, expect), rows
 
 
 def test_tail_only_recursion_level_matches_full_array_formula():
@@ -499,20 +514,25 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def _budget_model():
-    # n = 10 with the selected site in the middle: every tail marginal is
-    # at most 2^5 wide, far below a row block
+def _budget_model(i_star=5):
+    # n = 10; with the selected site in the middle every tail marginal is
+    # at most 2^5 wide, with it first or last the first tail is 2^9 wide
     rng = spawn_stream(101, 45)
-    rho = tuple(0.0 if i == 5 else float(rng.uniform(0.2, 0.8)) for i in range(1, 11))
-    cfg = SiteConfig(n=10, i_star=5, s=0.8, rho=rho)
+    rho = tuple(0.0 if i == i_star else float(rng.uniform(0.2, 0.8)) for i in range(1, 11))
+    cfg = SiteConfig(n=10, i_star=i_star, s=0.8, rho=rho)
     return cfg, random_prob(cfg.sites, rng), SolverSettings(t_max=1.0, grid_steps=256,
                                                             quad_tol=1e-4)
 
 
-@pytest.mark.parametrize("solver", [recursive_solve, ld_decay_residuals],
-                         ids=["recursive_solve", "ld_decay_residuals"])
-def test_recursion_holds_two_levels_and_row_blocks(solver):
-    cfg, nu, settings = _budget_model()
+@pytest.mark.parametrize(
+    "solver, i_star",
+    [pytest.param(solver, i_star, id=name if i_star == 5 else f"{name}-i_star-{i_star}")
+     for solver, name in ((recursive_solve, "recursive_solve"),
+                          (ld_decay_residuals, "ld_decay_residuals"))
+     for i_star in (1, 5, 10)],
+)
+def test_recursion_holds_two_levels_and_row_blocks(solver, i_star):
+    cfg, nu, settings = _budget_model(i_star)
     row = 2 ** cfg.n * 8
     level = (settings.grid_steps + 1) * row
     block = max(1, _BLOCK_BYTES // row) * row
@@ -577,8 +597,6 @@ def test_settings_refuse_non_finite_times():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t_max must be finite"):
             SolverSettings(t_max=bad)
-        with pytest.raises(ValueError, match="ode_step must be finite"):
-            SolverSettings(t_max=1.0, ode_step=bad)
 
 
 def test_default_settings_pass_the_recursion_grid_check():
@@ -943,14 +961,49 @@ def test_column_labels_equal_the_per_bit_construction(k):
     assert traj.column_labels() == per_bit
 
 
-def test_at_times_copies_the_grid_rows_in_order():
-    traj = Trajectory(np.linspace(0.0, 1.0, 9), (1, 2), np.arange(36.0).reshape(9, 4),
-                      mass_drift=3e-15)
-    # 0.25 + 1e-12 lies on the grid point 0.25 within grid_index's tolerance
-    sub = traj.at_times([0.75, 0.25 + 1e-12, 0.0])
-    assert sub.times.tolist() == [0.75, 0.25, 0.0]
-    assert np.array_equal(sub.values, traj.values[[6, 2, 0]])
-    assert sub.sites == traj.sites and sub.mass_drift == traj.mass_drift
-    assert not np.shares_memory(sub.values, traj.values)
+def record_levels(monkeypatch) -> list:
+    """A list that holds every level the recursion yields, in order."""
+    levels = []
+    real = selrec.solvers._recursion_levels
+
+    def wrapper(*args):
+        for level in real(*args):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(selrec.solvers, "_recursion_levels", wrapper)
+    return levels
+
+
+@pytest.mark.parametrize("solver", [recursive_solve, ld_decay_residuals],
+                         ids=["recursive_solve", "ld_decay_residuals"])
+def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    settings = SolverSettings(t_max=1.0, grid_steps=8, quad_tol=1e-3)
+    levels = record_levels(monkeypatch)
+    # out of order, repeated and t = 0; 0.25 + 1e-12 lies on the grid point
+    # 0.25 within grid_index's tolerance
+    rows = solver(cfg, nu, settings, [0.75, 0.25 + 1e-12, 0.0, 0.75])
+    rows = rows[0] if isinstance(rows, tuple) else rows
+    assert rows.times.tolist() == [0.75, 0.25, 0.0, 0.75]
+    assert np.array_equal(rows.values, levels[-1][[6, 2, 0, 6]])
+    assert rows.sites == cfg.sites
+    assert not any(np.shares_memory(rows.values, level) for level in levels)
+    # the whole grid without times, the same rows as before
+    whole = solver(cfg, nu, settings)
+    whole = whole[0] if isinstance(whole, tuple) else whole
+    assert np.array_equal(whole.values[[6, 2, 0, 6]], rows.values)
+    levels.clear()
     with pytest.raises(ValueError, match="not on the solver grid"):
-        traj.at_times([0.3])
+        solver(cfg, nu, settings, [0.5, 0.3])
+    assert levels == []
+
+
+def test_recursion_end_point_shares_no_memory_with_the_level(monkeypatch):
+    cfg, nu, settings = _budget_model()
+    levels = record_levels(monkeypatch)
+    rec = recursive_solve(cfg, nu, settings, (settings.t_max,))
+    assert rec.values.shape == (1, 2 ** cfg.n) and rec.times.tolist() == [settings.t_max]
+    assert np.array_equal(rec.values[0], levels[-1][-1])
+    assert not np.shares_memory(rec.values, levels[-1])
