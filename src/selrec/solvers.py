@@ -368,11 +368,11 @@ def _cumulative_trapezoid(y, times, start=None):
     return out
 
 
-def _row_blocks(values: np.ndarray) -> list[slice]:
-    """Consecutive row ranges of a 2-d array, each of at most _BLOCK_BYTES
-    (one row at least)."""
-    rows = max(1, _BLOCK_BYTES // (values.shape[1] * values.itemsize))
-    return [slice(a, a + rows) for a in range(0, values.shape[0], rows)]
+def _row_blocks(stop: int, width: int, start: int = 0) -> list[slice]:
+    """Consecutive ranges of the rows start..stop-1 of an array of width
+    floats per row, each of at most _BLOCK_BYTES (one row at least)."""
+    rows = max(1, _BLOCK_BYTES // (width * 8))
+    return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
 
 
 def _recursion_levels(cfg, omega0, times, permutation):
@@ -402,27 +402,29 @@ def _next_level(cfg, i, rate, times, level):
     """The level that adds crossover site i at a positive rate to level.
     Its own temporaries go when it returns, so a suspended walk holds the
     levels alone."""
-    split = Split(cfg.sites, *cfg.head_tail(i))
+    head, tail = cfg.head_tail(i)
+    split = Split(cfg.sites, head, tail)
     decay = np.exp(-rate * times)
-    # product + decay * level, one block of rows at a time: a row's
-    # marginals do not depend on the rows reduced with it, and IEEE addition
-    # commutes, so the bits are those of the whole-array sum
     new = np.empty_like(level)
     integral = None
-    for r in _row_blocks(level):
-        # the trapezoid is linear, so it integrates the tail marginal only;
-        # a block takes the row before it too, whose integral starts the
-        # prefix sums unless that row is the grid's first
-        a = max(r.start - 1, 0)
-        y = (rate * decay[a:r.stop])[:, None] * split.tail(level[a:r.stop])
-        integ = _cumulative_trapezoid(y, times[a:r.stop], integral if a else None)[r.start - a:]
-        # each block array goes as soon as it is read: with the selected
-        # site first or last a tail block is half a row block
+    # the trapezoid is linear, so it integrates the tail marginal only, in
+    # blocks of rows of the tail's width: a block takes the row before it
+    # too, whose integral starts the prefix sums unless that row is the
+    # grid's first
+    for R in _row_blocks(len(times), 2 ** len(tail)):
+        a = max(R.start - 1, 0)
+        y = (rate * decay[a:R.stop])[:, None] * split.tail(level[a:R.stop])
+        integ = _cumulative_trapezoid(y, times[a:R.stop], integral if a else None)
+        # the tail blocks go as soon as they are read, so at most two are held
         del y
         integral = integ[-1].copy()
-        split.product(split.head(level[r]), integ, out=new[r])
+        # product + decay * level, one block of rows at a time: a row's
+        # marginals do not depend on the rows reduced with it, and IEEE
+        # addition commutes, so the bits are those of the whole-array sum
+        for r in _row_blocks(R.stop, level.shape[1], R.start):
+            split.product(split.head(level[r]), integ[r.start - a:r.stop - a], out=new[r])
+            new[r] += decay[r, None] * level[r]
         del integ
-        new[r] += decay[r, None] * level[r]
     return new
 
 
@@ -463,7 +465,7 @@ def ld_decay_residual(
     # one block of rows at a time: a row's sum does not depend on the rows
     # summed with it
     err, norms, below_norms = (np.empty(level.shape[0]) for _ in range(3))
-    for r in _row_blocks(level):
+    for r in _row_blocks(*level.shape):
         err[r], norms[r], below_norms[r] = row_norms(r)
     scale = max(float(norms.max()), 1e-30)
     return {

@@ -990,6 +990,11 @@ def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
     assert np.array_equal(rows.values, levels[-1][[6, 2, 0, 6]])
     assert rows.sites == cfg.sites
     assert not any(np.shares_memory(rows.values, level) for level in levels)
+    # the end point alone, as verify asks for it
+    end = solver(cfg, nu, settings, (1.0,))
+    end = end[0] if isinstance(end, tuple) else end
+    assert end.values.shape == (1, 8) and np.array_equal(end.values[0], levels[-1][-1])
+    assert not np.shares_memory(end.values, levels[-1])
     # the whole grid without times, the same rows as before
     whole = solver(cfg, nu, settings)
     whole = whole[0] if isinstance(whole, tuple) else whole
@@ -998,12 +1003,3 @@ def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
     with pytest.raises(ValueError, match="not on the solver grid"):
         solver(cfg, nu, settings, [0.5, 0.3])
     assert levels == []
-
-
-def test_recursion_end_point_shares_no_memory_with_the_level(monkeypatch):
-    cfg, nu, settings = _budget_model()
-    levels = record_levels(monkeypatch)
-    rec = recursive_solve(cfg, nu, settings, (settings.t_max,))
-    assert rec.values.shape == (1, 2 ** cfg.n) and rec.times.tolist() == [settings.t_max]
-    assert np.array_equal(rec.values[0], levels[-1][-1])
-    assert not np.shares_memory(rec.values, levels[-1])
