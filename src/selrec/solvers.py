@@ -77,9 +77,10 @@ class SolverSettings:
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
-    """Index of the grid point at t, matched to a relative 1e-9."""
+    """Index of the grid point at t, matched to a relative 1e-9; NaN and
+    infinity are on no grid."""
     j = int(np.argmin(np.abs(times - t)))
-    if abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
+    if not math.isfinite(t) or abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the solver grid")
     return j
 
@@ -297,14 +298,17 @@ def recursive_solve(
 
     Each level couples the previous one through a single exponentially
     weighted time integral, evaluated by trapezoidal prefix sums on the
-    grid.  Only the level being built, the one below it and row blocks of
-    about _BLOCK_BYTES are held; the last level is the solution.  Its end
-    point is compared with the closed form at t_max, and a distance beyond
-    10 * quad_tol in l1 raises GridTooCoarseError.
+    grid; the last level is the solution.  Its end point is compared with
+    the closed form at t_max, and a distance beyond 10 * quad_tol in l1
+    raises GridTooCoarseError.
 
-    With times, the returned rows are a copy of the last level's grid rows
-    at those times, in their order; a time off the grid raises ValueError
-    before any level.  None keeps the whole grid.
+    With times, the returned rows are the last level's grid rows at those
+    times, in their order; a time off the grid raises ValueError before any
+    level.  When they leave grid rows out, full vectors are built at those
+    rows and the end point only (_level_rows), and agree with the whole
+    grid's rows to rounding.  Otherwise, and with None, which keeps the
+    whole grid, only the level being built, the one below it and row
+    blocks of about _BLOCK_BYTES are held.
     """
     return _walk_levels(cfg, omega0, settings, times, permutation)
 
@@ -317,27 +321,36 @@ def ld_decay_residuals(
     *,
     permutation: Sequence[int] | None = None,
 ) -> tuple[Trajectory, list[dict]]:
-    """recursive_solve's solution at times and the ld_decay_residual of
-    every level k = 1..n-1 on the whole grid, each computed in the same
-    pass while levels k-1 and k are held, one row block at a time."""
+    """recursive_solve's solution at times, copied from a walk over the
+    whole grid, and the ld_decay_residual of every level k = 1..n-1 on the
+    whole grid, each computed in the same pass while levels k-1 and k are
+    held, one row block at a time."""
     residuals = []
     return _walk_levels(cfg, omega0, settings, times, permutation, residuals), residuals
 
 
 def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> Trajectory:
-    """The one driver of the recursion.  Streams the levels on the settings'
-    grid once, appending to residuals, when given, the ld_decay_residual of
-    each level above the first; then checks the last level's end point
-    against the closed form and returns its rows at times."""
+    """The recursion's one entry point.  With residuals, or when the rows
+    asked for and the end point cover the grid, streams the levels on the
+    whole grid once, appending to residuals, when given, the
+    ld_decay_residual of each level above the first; otherwise builds the
+    last level at those rows only (_level_rows).  Then checks the end point
+    against the closed form and returns the rows at times."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
     grid = settings.grid()
     rows = _grid_rows(grid, times)
-    for k, level in enumerate(_recursion_levels(cfg, omega0, grid, permutation)):
-        if k and residuals is not None:
-            residuals.append(ld_decay_residual(cfg, permutation[k], grid, level, below))
-        below = level
+    # the rows held in full: the asked ones and the end point the check reads
+    held = np.array(sorted({*rows.tolist(), grid.size - 1}))
+    if residuals is None and held.size < grid.size:
+        level = _level_rows(cfg, omega0, grid, held, permutation)
+    else:
+        held = np.arange(grid.size)
+        for k, level in enumerate(_recursion_levels(cfg, omega0, grid, permutation)):
+            if k and residuals is not None:
+                residuals.append(ld_decay_residual(cfg, permutation[k], grid, level, below))
+            below = level
     exact = semigroup_solve(cfg, omega0, settings.t_max).values
     diff = float(np.abs(level[-1] - exact).sum())
     if diff > 10.0 * settings.quad_tol:
@@ -348,7 +361,66 @@ def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> T
             f"closed form disagree"
         )
     # a copy of the rows, so the level goes when the walk returns
-    return Trajectory(grid[rows], cfg.sites, level if times is None else level[rows])
+    values = level if times is None else level[np.searchsorted(held, rows)]
+    return Trajectory(grid[rows], cfg.sites, values)
+
+
+def _level_rows(cfg, omega0, times, held, permutation):
+    """The last level of the recursion at the grid rows held (ascending):
+    full vectors at those rows only.
+
+    Of level k - 1, level k reads over the whole grid only the marginal on
+    the tail of the site i = permutation[k] it adds.  Level 0 is alpha *
+    fv + beta * (v0 - fv) at every time, so its marginal on a tail away
+    from the selected site is alpha * fv_T + beta * rest_T, with fv_T and
+    rest_T the tail marginals of fv and v0 - fv, and every level keeps that
+    form on the tails still to be added.  Adding i at rate rho with decay d
+    takes the coefficient columns c (one row alpha, beta per time) of
+
+    * i's own arm, whose later tails lie inside i's tail, to
+      d * c + mass * C, with C the trapezoid integral of rho * d * c (the
+      coefficients of the tail integral I) and mass that of level k - 1;
+    * the other arm, whose tails lie inside i's head, to
+      (d + mass(I)) * c, the factor that also takes mass to level k's.
+
+    A zero-rate site changes nothing, and any valid order works, since each
+    arm's sites come outward in it."""
+    v0 = omega0.values
+    fv = fitness_projection(omega0, cfg.i_star).values
+    rest = v0 - fv
+    f0 = float(fv.sum())
+    e = np.exp(np.minimum(cfg.s * times, 500.0))
+    den = e * f0 + (1.0 - f0)
+    # level 0 at the held rows, in _recursion_levels' operations
+    level = e[held, None] * fv
+    level += rest
+    level /= den[held, None]
+    # per arm, by the sign of i - i_star: one row of coefficients per time;
+    # never written in place, so the arms may share level 0's array
+    coef = dict.fromkeys((-1, 1), np.stack([e / den, 1.0 / den], axis=1))
+    mass = (e * f0 + (float(v0.sum()) - f0)) / den
+    for i in permutation[1:]:
+        rate = cfg.rho_of(i)
+        if rate == 0.0:
+            continue
+        arm = 1 if i > cfg.i_star else -1
+        split = Split(cfg.sites, *cfg.head_tail(i))
+        fv_t, rest_t = split.tail(fv), split.tail(rest)
+        decay = np.exp(-rate * times)
+        integ = _cumulative_trapezoid((rate * decay)[:, None] * coef[arm], times)
+        # decay + mass(I)
+        grow = decay + integ[:, 0] * float(fv_t.sum()) + integ[:, 1] * float(rest_t.sum())
+        # product + decay * level, one block of rows at a time, in place
+        for r in _row_blocks(*level.shape):
+            c = integ[held[r]]
+            tail = c[:, :1] * fv_t + c[:, 1:] * rest_t
+            product = split.product(split.head(level[r]), tail)
+            level[r] *= decay[held[r], None]
+            level[r] += product
+        coef[arm] = decay[:, None] * coef[arm] + mass[:, None] * integ
+        coef[-arm] = grow[:, None] * coef[-arm]
+        mass = grow * mass
+    return level
 
 
 def _cumulative_trapezoid(y, times, start=None):

@@ -90,6 +90,17 @@ def _solve_all(cfgp, out):
             for name in ("ode", "recursion", "semigroup")}
 
 
+def assert_rows_near(lines, expect):
+    """CSV rows of the recursion against the same rows of its whole-grid
+    walk: equal times, and at most 1e-13 apart in l1 per row, since the
+    recursion builds full vectors at the asked rows only and sums in another
+    order there."""
+    got, want = (np.array([[float(x) for x in line.split(",")] for line in block])
+                 for block in (lines, expect))
+    assert got.shape == want.shape and np.array_equal(got[:, 0], want[:, 0])
+    assert np.abs(got[:, 1:] - want[:, 1:]).sum(axis=1).max() <= 1e-13
+
+
 def test_solve_writes_the_comparison_rows_of_the_full_grid(tmp_path):
     cfgp = write_config(tmp_path)
     csvs = _solve_all(cfgp, tmp_path / "run")
@@ -100,8 +111,9 @@ def test_solve_writes_the_comparison_rows_of_the_full_grid(tmp_path):
         assert lines[0].startswith("# selrec") and lines[1].startswith("# sites")
         assert len(lines) == 3 + len(rows)
         assert [float(r.split(",")[0]) for r in lines[3:]] == [grid[j] for j in rows]
-    for name in ("ode", "recursion"):
-        assert csvs[name][2:] == [full[name][0]] + [full[name][1 + j] for j in rows]
+    assert csvs["ode"][2:] == [full["ode"][0]] + [full["ode"][1 + j] for j in rows]
+    assert csvs["recursion"][2] == full["recursion"][0]
+    assert_rows_near(csvs["recursion"][3:], [full["recursion"][1 + j] for j in rows])
 
 
 def test_solve_at_every_grid_time_writes_the_full_grid(tmp_path):
@@ -127,8 +139,8 @@ def test_solve_writes_output_times_in_their_order(tmp_path):
     rows = [int(np.argmin(np.abs(grid - t))) for t in times]
     for name, lines in csvs.items():
         assert [float(r.split(",")[0]) for r in lines[3:]] == times
-    for name in ("ode", "recursion"):
-        assert csvs[name][3:] == [full[name][1 + j] for j in rows]
+    assert csvs["ode"][3:] == [full["ode"][1 + j] for j in rows]
+    assert_rows_near(csvs["recursion"][3:], [full["recursion"][1 + j] for j in rows])
     meta = json.loads((out / "solve_meta.json").read_text())
     assert [row["t"] for row in meta["pairwise_l1"]] == times
 

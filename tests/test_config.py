@@ -59,7 +59,13 @@ def test_invalid_value_refused_before_any_work(tmp_path, capsys, monkeypatch, fi
         assert not out.exists(), command
 
 
-@pytest.mark.parametrize("field, value", VALID)
+# a list value takes its probe's name, as in PAIRS: pytest would name it by
+# its position in VALID, which moves whenever an earlier entry goes; the
+# other values already have ids of their own (s-0.5, output_times-None)
+@pytest.mark.parametrize(
+    "field, value", VALID,
+    ids=lambda v: PROBE_IDS[PROBES.index(v)] if isinstance(v, list) else None,
+)
 def test_valid_value_loads(field, value):
     ExperimentConfig.from_dict({**EXAMPLE, field: value})
 

@@ -365,6 +365,28 @@ def test_trajectory_time_lookup():
         traj.index_of_time(0.55)
 
 
+def _grid_solver_calls():
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
+    settings = SolverSettings(t_max=1.0, grid_steps=8, quad_tol=1e-3)
+    traj = Trajectory(settings.grid(), cfg.sites, np.zeros((9, 8)))
+    return {
+        "integrate_ode": lambda t: integrate_ode(cfg, nu, settings, [0.5, t]),
+        "recursive_solve": lambda t: recursive_solve(cfg, nu, settings, [0.5, t]),
+        "ld_decay_residuals": lambda t: ld_decay_residuals(cfg, nu, settings, [0.5, t]),
+        "at_time": traj.at_time,
+    }
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_grid_solver_calls()))
+def test_grid_times_refuse_non_finite_values(name, t):
+    # NaN and infinity compare false with the grid's tolerance: they must
+    # not be taken for the row at t = 0
+    with pytest.raises(ValueError, match="not on the solver grid"):
+        _grid_solver_calls()[name](t)
+
+
 # -- recursion --------------------------------------------------------------------
 
 def test_trapezoid_prefix_sum_matches_scipy_bits(monkeypatch):
@@ -982,24 +1004,131 @@ def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     settings = SolverSettings(t_max=1.0, grid_steps=8, quad_tol=1e-3)
     levels = record_levels(monkeypatch)
+    # the whole grid without times
+    whole = solver(cfg, nu, settings)
+    whole = whole[0] if isinstance(whole, tuple) else whole
+    assert np.array_equal(whole.values, levels[-1])
+
+    # ld_decay_residuals walks the whole grid for its residuals and copies
+    # the rows bit for bit; recursive_solve builds full vectors at the asked
+    # rows only, within 1e-13 in l1 per row of the whole-grid walk's
+    def same(got, expect):
+        if solver is ld_decay_residuals:
+            return np.array_equal(got, expect)
+        return np.abs(got - expect).sum(axis=-1).max() <= 1e-13
+
     # out of order, repeated and t = 0; 0.25 + 1e-12 lies on the grid point
     # 0.25 within grid_index's tolerance
     rows = solver(cfg, nu, settings, [0.75, 0.25 + 1e-12, 0.0, 0.75])
     rows = rows[0] if isinstance(rows, tuple) else rows
     assert rows.times.tolist() == [0.75, 0.25, 0.0, 0.75]
-    assert np.array_equal(rows.values, levels[-1][[6, 2, 0, 6]])
+    assert same(rows.values, whole.values[[6, 2, 0, 6]])
+    assert np.array_equal(rows.values[0], rows.values[3])
     assert rows.sites == cfg.sites
     assert not any(np.shares_memory(rows.values, level) for level in levels)
     # the end point alone, as verify asks for it
     end = solver(cfg, nu, settings, (1.0,))
     end = end[0] if isinstance(end, tuple) else end
-    assert end.values.shape == (1, 8) and np.array_equal(end.values[0], levels[-1][-1])
-    assert not np.shares_memory(end.values, levels[-1])
-    # the whole grid without times, the same rows as before
-    whole = solver(cfg, nu, settings)
-    whole = whole[0] if isinstance(whole, tuple) else whole
-    assert np.array_equal(whole.values[[6, 2, 0, 6]], rows.values)
+    assert end.values.shape == (1, 8) and same(end.values[0], whole.values[-1])
+    assert not any(np.shares_memory(end.values, level) for level in levels)
     levels.clear()
     with pytest.raises(ValueError, match="not on the solver grid"):
         solver(cfg, nu, settings, [0.5, 0.3])
     assert levels == []
+
+
+def random_valid_order(cfg, rng) -> tuple:
+    """The selected site, then the outward orders of its two arms
+    interleaved at random: any order the partial order allows."""
+    arms = [list(range(cfg.i_star - 1, 0, -1)), list(range(cfg.i_star + 1, cfg.n + 1))]
+    order = [cfg.i_star]
+    while any(arms):
+        open_arms = [arm for arm in arms if arm]
+        order.append(open_arms[int(rng.integers(len(open_arms)))].pop(0))
+    assert cfg.is_valid_ordering(tuple(order))
+    return tuple(order)
+
+
+def assert_rows_meet_the_whole_grid(cfg, nu, settings, times, permutation=None):
+    """recursive_solve at times against the same rows of its whole-grid
+    walk: equal times, and at most 1e-13 apart in l1 per row (the rows path
+    sums in another order, so the bits may differ)."""
+    rows = recursive_solve(cfg, nu, settings, times, permutation=permutation)
+    whole = recursive_solve(cfg, nu, settings, permutation=permutation)
+    idx = [grid_index(whole.times, t) for t in times]
+    assert rows.times.tolist() == whole.times[idx].tolist()
+    assert rows.sites == cfg.sites and rows.values.shape == (len(times), 2 ** cfg.n)
+    gap = np.abs(rows.values - whole.values[idx]).sum(axis=1)
+    assert gap.max(initial=0.0) <= 1e-13, (cfg, permutation, gap.max())
+
+
+def test_recursion_rows_meet_the_whole_grid_walk(monkeypatch):
+    # random models with n <= 8, the selected site first, last and inside,
+    # zero-rate sites and random valid orders; out-of-order, repeated and
+    # t = 0 times that leave most of the grid out
+    rng = spawn_stream(101, 46)
+    walks = count_calls(monkeypatch, "_recursion_levels")
+    for case in range(36):
+        n = int(rng.integers(1, 9))
+        i_star = (1, n, int(rng.integers(1, n + 1)))[case % 3]
+        rho = [0.0 if i == i_star or rng.random() < 0.2 else float(rng.uniform(0.05, 2.0))
+               for i in range(1, n + 1)]
+        cfg = SiteConfig(n=n, i_star=i_star, s=float(rng.uniform(0.0, 2.0)), rho=tuple(rho))
+        nu = random_prob(cfg.sites, rng)
+        settings = SolverSettings(t_max=float(rng.choice([0.5, 1.0, 2.0])), grid_steps=128,
+                                  quad_tol=1e-3)
+        grid = settings.grid()
+        times = [float(t) for t in rng.choice(grid, 4)]
+        times += [0.0, times[0]]
+        permutation = None if case % 2 else random_valid_order(cfg, rng)
+        walks.clear()
+        assert_rows_meet_the_whole_grid(cfg, nu, settings, times, permutation)
+        # the whole-grid walk is the reference's alone: the rows built none
+        assert len(walks) == 1
+
+
+def test_recursion_rows_of_every_valid_order_and_a_start_off_mass_one():
+    cfg = SiteConfig(n=5, i_star=3, s=1.3, rho=(0.6, 0.0, 0.0, 1.1, 0.4))
+    rng = spawn_stream(101, 47)
+    v = rng.random(2 ** cfg.n)
+    v /= v.sum()
+    v[3] += 5e-10
+    # a ProbabilityMeasure may be off mass 1 by up to MASS_TOL; the rows
+    # path carries this start's mass, it does not assume 1
+    nu = ProbabilityMeasure(cfg.sites, v)
+    assert nu.mass() - 1.0 > 4e-10
+    settings = SolverSettings(t_max=1.5, grid_steps=96, quad_tol=1e-3)
+    times = [1.5, 0.5, 0.0, 0.5, 1.0]
+    orders = {random_valid_order(cfg, rng) for _ in range(60)}
+    assert len(orders) == 6
+    for order in sorted(orders):
+        assert_rows_meet_the_whole_grid(cfg, nu, settings, times, order)
+    one = SiteConfig(n=1, i_star=1, s=0.7, rho=(0.0,))
+    assert_rows_meet_the_whole_grid(one, uniform(one.sites), settings, [0.5, 0.0])
+
+
+def test_recursion_rows_path_raises_grid_too_coarse(monkeypatch):
+    cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(2.0, 0.0, 2.0))
+    nu = random_prob(cfg.sites, spawn_stream(101, 11))
+    walks = count_calls(monkeypatch, "_recursion_levels")
+    with pytest.raises(GridTooCoarseError):
+        recursive_solve(cfg, nu, SolverSettings(t_max=5.0, grid_steps=8, quad_tol=1e-9),
+                        [0.0, 2.5])
+    assert walks == []
+
+
+@pytest.mark.parametrize("i_star", [1, 5, 10])
+def test_recursion_rows_hold_the_asked_rows(i_star):
+    # solve's five times on n = 10: full vectors at the held rows R (the
+    # asked ones and the end point) and, beside them, one product of at
+    # most |R| rows; over the whole grid two coefficient columns per arm
+    # and a few grid-wide scalars (16 grid columns); and the closed-form
+    # check's vectors, within the 24 rows that the ODE's budget leaves
+    # them.  The whole-grid walk holds 565-590 rows here.
+    cfg, nu, settings = _budget_model(i_star)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    row = 2 ** cfg.n * 8
+    held = 2 * len(times) * row
+    grid_columns = 16 * (settings.grid_steps + 1) * 8
+    peak = traced_peak(lambda: recursive_solve(cfg, nu, settings, times))
+    assert peak <= held + grid_columns + 24 * row, peak / row
