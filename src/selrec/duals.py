@@ -33,7 +33,6 @@ from .partitions import WeightedPartition, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
-    _DualityChain,
     _check_time,
     _integral,
     _renewal_density,
@@ -568,26 +567,58 @@ def _duality_function(cfg: SiteConfig, start, nu: Measure) -> ProbabilityMeasure
 BLOCK = 4096
 
 
-class _MixtureEvaluator(_DualityChain):
+class _MixtureEvaluator:
     """Evaluation of a duality function at nu for whole blocks of dual states.
 
-    Every duality value is the duality chain with sampled weights: started
-    from (1 - g)*b + g*d with the selected site's unfit weight g, then
-    overwritten at each further started site, outward, with that site's
-    weight.  This is the overwrite product of `duality_counts` done
-    row-wise.  The partition picture needs no evaluator of its own: the
-    part of a tail that no later factor overwrites is the block its started
-    site anchors, so its values are those of its `encode`d counts.
+    A duality value is a product of independent block factors, one per
+    block of the interval partition that the started sites cut: the central
+    block around the selected site, and for each further started site the
+    interval from it outward up to the next started site on its arm.  The
+    factor of a block B is (1 - g)*b_B + g*d_B, the mixture of the block
+    marginals of the fit and unfit conditionals b and d of nu, with the
+    unfit weight g of the site that anchors B (the selected site's for the
+    central block).  The partition picture needs no evaluator of its own:
+    its blocks and weights are those of its `encode`d counts.
     """
+
+    def __init__(self, cfg: SiteConfig, nu: Measure):
+        # unfit mass: an ancestor with k lines is unfit with chance y^k
+        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
+        self.b = cond_fit(nu, cfg.i_star).values
+        self.d = cond_unfit(nu, cfg.i_star).values
+        self.n, self.i_star = cfg.n, cfg.i_star
+        self.order = cfg.canonical_permutation()
+        # (lo, hi) -> the marginals of b and d on the sites lo..hi
+        self._marginals = {}
+
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (lo, hi)
+        if key not in self._marginals:
+            # site j is bit j - 1: the axes are sites above hi, lo..hi, below lo
+            shape = (1 << (self.n - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
+            self._marginals[key] = tuple(
+                v.reshape(shape).sum(axis=(0, 2)) for v in (self.b, self.d)
+            )
+        return self._marginals[key]
 
     def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
         """Duality values of states sharing one started set, which opens
         with the selected site; dweights holds one row of unfit weights per
         state, one column per started site."""
-        out = self.start(dweights[:, :1])
-        for i, g in zip(active[1:], dweights.T[1:]):
-            g = g[:, None]
-            out = self.overwrite(out, i, 1.0 - g, g)
+        weight = dict(zip(active, dweights.T))
+        # a started site on the left arm closes its block, one on the right
+        # arm opens it
+        cuts = [i + 1 if i < self.i_star else i for i in sorted(active) if i != self.i_star]
+        out = None
+        for lo, nxt in zip([1, *cuts], [*cuts, self.n + 1]):
+            hi = nxt - 1
+            anchor = hi if hi < self.i_star else lo if lo > self.i_star else self.i_star
+            b, d = self._block(lo, hi)
+            g = weight[anchor][:, None]
+            factor = (1.0 - g) * b
+            factor += g * d
+            # the sites so far are the low bits of the product
+            out = factor if out is None else (factor[:, :, None] * out[:, None, :]).reshape(len(g), -1)
         return out
 
     def fill(self, rows: np.ndarray, started: np.ndarray, dweights: np.ndarray) -> None:

@@ -304,11 +304,10 @@ def recursive_solve(
 
     With times, the returned rows are the last level's grid rows at those
     times, in their order; a time off the grid raises ValueError before any
-    level.  When they leave grid rows out, full vectors are built at those
-    rows and the end point only (_level_rows), and agree with the whole
-    grid's rows to rounding.  Otherwise, and with None, which keeps the
-    whole grid, only the level being built, the one below it and row
-    blocks of about _BLOCK_BYTES are held.
+    level.  Full vectors are built at those rows and the end point only
+    (_level_rows), one level of them, and agree with the rows of
+    ld_decay_residuals' whole-grid walk to rounding.  None keeps the whole
+    grid.
     """
     return _walk_levels(cfg, omega0, settings, times, permutation)
 
@@ -330,12 +329,11 @@ def ld_decay_residuals(
 
 
 def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> Trajectory:
-    """The recursion's one entry point.  With residuals, or when the rows
-    asked for and the end point cover the grid, streams the levels on the
-    whole grid once, appending to residuals, when given, the
-    ld_decay_residual of each level above the first; otherwise builds the
-    last level at those rows only (_level_rows).  Then checks the end point
-    against the closed form and returns the rows at times."""
+    """The recursion's one entry point.  With residuals, streams the levels
+    on the whole grid once, appending to residuals the ld_decay_residual of
+    each level above the first; otherwise builds the last level at the rows
+    asked for and the end point only (_level_rows).  Then checks the end
+    point against the closed form and returns the rows at times."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
@@ -343,7 +341,7 @@ def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> T
     rows = _grid_rows(grid, times)
     # the rows held in full: the asked ones and the end point the check reads
     held = np.array(sorted({*rows.tolist(), grid.size - 1}))
-    if residuals is None and held.size < grid.size:
+    if residuals is None:
         level = _level_rows(cfg, omega0, grid, held, permutation)
     else:
         held = np.arange(grid.size)
@@ -636,9 +634,7 @@ class _DualityChain:
     conditionals b and d of nu.  Then, outward from the selected site, each
     started site i overwrites the tail of the value so far with a mixture
     wb*b_T + wd*d_T of the tail marginals of b and d.  The closed form takes
-    expected weights, the Monte Carlo sampled ones and the long-time limit
-    stationary ones.  Weights may be columns of shape (rows, 1), giving one
-    value per row.
+    expected weights and the long-time limit stationary ones.
     """
 
     def __init__(self, cfg: SiteConfig, nu: Measure):

@@ -50,7 +50,7 @@ from selrec import (
     ypir_vector_simulate,
 )
 from selrec.duals import BLOCK, _canonical_start, _dual_rows
-from selrec.solvers import SolverSettings, _gauss_legendre, _started_mass_pgf
+from selrec.solvers import SolverSettings, _DualityChain, _gauss_legendre, _started_mass_pgf
 
 
 def random_prob(sites, rng):
@@ -911,9 +911,24 @@ def test_dual_rows_match_per_state_duality_functions():
         SiteConfig(n=6, i_star=4, s=1.1, rho=(0.5, 0.3, 0.8, 0.0, 0.6, 0.4)),
     ):
         _check_rows_against_duality_functions(cfg)
+    # degenerate partitions: one site; only the selected site started (no
+    # site can start); every site started, each in a one-site block, with
+    # the selected site inside, first and last
+    for cfg, started in (
+        (SiteConfig(n=1, i_star=1, s=0.8, rho=(0.0,)), (True,)),
+        (SiteConfig(n=4, i_star=3, s=0.8, rho=(0.0,) * 4), (False, False, True, False)),
+        (SiteConfig(n=5, i_star=3, s=0.8, rho=(9.0, 9.0, 0.0, 9.0, 9.0)), (True,) * 5),
+        (SiteConfig(n=5, i_star=1, s=0.8, rho=(0.0, 9.0, 9.0, 9.0, 9.0)), (True,) * 5),
+        (SiteConfig(n=5, i_star=5, s=0.8, rho=(9.0, 9.0, 9.0, 9.0, 0.0)), (True,) * 5),
+    ):
+        for seen in _check_rows_against_duality_functions(cfg):
+            assert started in seen, cfg
 
 
 def _check_rows_against_duality_functions(cfg):
+    """Compare the rows of every flavor with the duality functions of the
+    drawn states; returns the started-site patterns drawn by the counts
+    and by the run-time sampler."""
     nu = random_prob(cfg.sites, spawn_stream(353, 0))
     t, reps = 0.9, 300
     m = ypir_block_simulate(cfg, _canonical_start(cfg, "counts"), t, spawn_stream(353, 0), reps)
@@ -931,6 +946,50 @@ def _check_rows_against_duality_functions(cfg):
         }
         for f, ref in states.items():
             assert np.allclose(rows[f][r], ref.values, rtol=0.0, atol=1e-13), (cfg, f, r)
+    return ({tuple(row) for row in (m > 0).tolist()},
+            {tuple(row) for row in (~np.isnan(theta)).tolist()})
+
+
+def _overwrite_chain_rows(cfg, nu, started, dweights):
+    """The duality values of drawn states as the closed form's overwrite
+    chain builds them, one state at a time: the mixture with the selected
+    site's unfit weight on all sites, then, outward, each further started
+    site's tail overwritten with the mixture of its weight."""
+    chain = _DualityChain(cfg, nu)
+    out = np.empty((len(started), 2 ** cfg.n))
+    for r, (on, g) in enumerate(zip(started, dweights)):
+        acc = chain.start(g[cfg.i_star - 1])
+        for i in chain.order[1:]:
+            if on[i - 1]:
+                acc = chain.overwrite(acc, i, 1.0 - g[i - 1], g[i - 1])
+        out[r] = acc
+    return out
+
+
+@pytest.mark.parametrize("n, i_star", [(6, 1), (10, 4), (12, 12)])
+def test_dual_rows_meet_the_overwrite_chain(n, i_star):
+    # the block products against the overwrite chain on the same draws,
+    # for both samplers; the partition flavor draws the counts
+    rng = spawn_stream(367, n)
+    rho = tuple(0.0 if i == i_star else float(rng.uniform(0.3, 1.5)) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=0.9, rho=rho)
+    nu = random_prob(cfg.sites, rng)
+    t, reps, seed = 1.0, 400, 367
+    y = 1.0 - fit_fraction(nu, i_star)
+    m = ypir_block_simulate(cfg, _canonical_start(cfg, "counts"), t, spawn_stream(seed, 0), reps)
+    theta = initiation_block_simulate(
+        cfg, InitiationState.initial(cfg), t, spawn_stream(seed, 0), reps
+    )
+    drawn = {
+        "counts": (m > 0, y ** m),
+        "runtimes": (~np.isnan(theta), 1.0 - logistic_fit_fraction(cfg.s, 1.0 - y, theta)),
+    }
+    for flavor, (started, dweights) in drawn.items():
+        rows = _stacked_rows(cfg, nu, _canonical_start(cfg, flavor), t, reps, seed)
+        ref = _overwrite_chain_rows(cfg, nu, started, dweights)
+        assert len({tuple(r) for r in started.tolist()}) > 10, flavor
+        gap = np.abs(rows - ref).sum(axis=1)
+        assert gap.max() <= 1e-14, (flavor, gap.max())
 
 
 # -- duality checks against the forward flow -----------------------------------------

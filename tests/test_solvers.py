@@ -497,9 +497,11 @@ def test_streamed_walk_equals_the_level_list_bit_for_bit():
                 prev = decay[:, None] * prev + split.product(split.head(prev), integ)
             assert np.array_equal(levels[k], prev)
 
+        # recursive_solve builds its rows without the walk (_level_rows):
+        # within 1e-13 in l1 per row of the last level, not bit for bit
         rec = recursive_solve(cfg, nu, settings)
         sol, residuals = ld_decay_residuals(cfg, nu, settings)
-        assert np.array_equal(rec.values, levels[-1])
+        assert np.abs(rec.values - levels[-1]).sum(axis=1).max() <= 1e-13
         assert np.array_equal(sol.values, levels[-1])
         assert np.array_equal(rec.times, times) and rec.sites == cfg.sites
         assert len(residuals) == cfg.n - 1
@@ -560,6 +562,21 @@ def test_recursion_holds_two_levels_and_row_blocks(solver, i_star):
     block = max(1, _BLOCK_BYTES // row) * row
     peak = traced_peak(lambda: solver(cfg, nu, settings))
     assert peak <= 2 * level + 4 * block, peak / level
+
+
+@pytest.mark.parametrize("i_star", [1, 5, 10])
+def test_recursion_without_times_holds_one_level(i_star):
+    # every grid row through _level_rows: one level, a product of one row
+    # block beside it, two coefficient columns per arm and a few grid-wide
+    # scalars (16 grid columns), and the closed-form check's vectors within
+    # 24 rows; the walk holds two levels
+    cfg, nu, settings = _budget_model(i_star)
+    row = 2 ** cfg.n * 8
+    level = (settings.grid_steps + 1) * row
+    block = max(1, _BLOCK_BYTES // row) * row
+    grid_columns = 16 * (settings.grid_steps + 1) * 8
+    peak = traced_peak(lambda: recursive_solve(cfg, nu, settings))
+    assert peak <= level + 4 * block + grid_columns + 24 * row, peak / level
 
 
 def test_ode_holds_the_requested_rows():
@@ -676,15 +693,16 @@ def test_recursion_names_a_disagreement_that_more_steps_do_not_shrink(monkeypatc
 
 
 def test_recursion_walks_the_levels_once(monkeypatch):
-    # the end point is checked against the closed form, not a second pass
+    # the end point is checked against the closed form, not a second pass;
+    # recursive_solve builds its rows without walking the levels at all
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     settings = SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7)
     walks = count_calls(monkeypatch, "_recursion_levels")
     recursive_solve(cfg, nu, settings)
-    assert len(walks) == 1
+    assert len(walks) == 0
     ld_decay_residuals(cfg, nu, settings)
-    assert len(walks) == 2
+    assert len(walks) == 1
 
 
 # -- semigroup solution -------------------------------------------------------------
@@ -1004,9 +1022,8 @@ def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     settings = SolverSettings(t_max=1.0, grid_steps=8, quad_tol=1e-3)
     levels = record_levels(monkeypatch)
-    # the whole grid without times
-    whole = solver(cfg, nu, settings)
-    whole = whole[0] if isinstance(whole, tuple) else whole
+    # the whole grid without times, from the walk
+    whole, _ = ld_decay_residuals(cfg, nu, settings)
     assert np.array_equal(whole.values, levels[-1])
 
     # ld_decay_residuals walks the whole grid for its residuals and copies
@@ -1016,6 +1033,10 @@ def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
         if solver is ld_decay_residuals:
             return np.array_equal(got, expect)
         return np.abs(got - expect).sum(axis=-1).max() <= 1e-13
+
+    every = solver(cfg, nu, settings)
+    every = every[0] if isinstance(every, tuple) else every
+    assert every.times.tolist() == whole.times.tolist() and same(every.values, whole.values)
 
     # out of order, repeated and t = 0; 0.25 + 1e-12 lies on the grid point
     # 0.25 within grid_index's tolerance
@@ -1050,16 +1071,21 @@ def random_valid_order(cfg, rng) -> tuple:
 
 
 def assert_rows_meet_the_whole_grid(cfg, nu, settings, times, permutation=None):
-    """recursive_solve at times against the same rows of its whole-grid
-    walk: equal times, and at most 1e-13 apart in l1 per row (the rows path
-    sums in another order, so the bits may differ)."""
+    """recursive_solve at times, and without times, against the same rows
+    of the whole-grid walk (ld_decay_residuals' solution): equal times, and
+    at most 1e-13 apart in l1 per row (the rows path sums in another order,
+    so the bits may differ)."""
     rows = recursive_solve(cfg, nu, settings, times, permutation=permutation)
-    whole = recursive_solve(cfg, nu, settings, permutation=permutation)
+    every = recursive_solve(cfg, nu, settings, permutation=permutation)
+    whole, _ = ld_decay_residuals(cfg, nu, settings, permutation=permutation)
     idx = [grid_index(whole.times, t) for t in times]
     assert rows.times.tolist() == whole.times[idx].tolist()
+    assert every.times.tolist() == whole.times.tolist()
     assert rows.sites == cfg.sites and rows.values.shape == (len(times), 2 ** cfg.n)
     gap = np.abs(rows.values - whole.values[idx]).sum(axis=1)
     assert gap.max(initial=0.0) <= 1e-13, (cfg, permutation, gap.max())
+    gap = np.abs(every.values - whole.values).sum(axis=1)
+    assert gap.max() <= 1e-13, (cfg, permutation, gap.max())
 
 
 def test_recursion_rows_meet_the_whole_grid_walk(monkeypatch):
