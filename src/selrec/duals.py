@@ -561,14 +561,17 @@ def _duality_function(cfg: SiteConfig, start, nu: Measure) -> ProbabilityMeasure
 # -- Monte Carlo representation --------------------------------------------------
 
 # Replicates are drawn in blocks of this many, block b from stream (seed, b),
-# so the draws depend on neither scheduling nor thread count; the block also
-# bounds the evaluator's temporaries and the rows held at once, about
-# BLOCK * 2^n floats per array.
+# so the draws depend on neither scheduling nor thread count.
 BLOCK = 4096
+
+# A block's duality values are evaluated and reduced in chunks of rows of at
+# most this many bytes (one row at least), so a run holds a block's drawn
+# states (BLOCK * n numbers) and a few chunks, whatever n and the replicates.
+_CHUNK_BYTES = 1 << 20
 
 
 class _MixtureEvaluator:
-    """Evaluation of a duality function at nu for whole blocks of dual states.
+    """Evaluation of a duality function at nu for groups of dual states.
 
     A duality value is a product of independent block factors, one per
     block of the interval partition that the started sites cut: the central
@@ -601,37 +604,34 @@ class _MixtureEvaluator:
             )
         return self._marginals[key]
 
-    def value(self, active: tuple[int, ...], dweights: np.ndarray) -> np.ndarray:
-        """Duality values of states sharing one started set, which opens
-        with the selected site; dweights holds one row of unfit weights per
-        state, one column per started site."""
+    def value(self, active: tuple[int, ...], dweights: np.ndarray, out: np.ndarray) -> None:
+        """Write into out, a C-contiguous (states, 2^n) array, the duality
+        values of states sharing one started set, which opens with the
+        selected site; dweights holds one row of unfit weights per state,
+        one column per started site."""
         weight = dict(zip(active, dweights.T))
         # a started site on the left arm closes its block, one on the right
         # arm opens it
         cuts = [i + 1 if i < self.i_star else i for i in sorted(active) if i != self.i_star]
-        out = None
+        acc = None
         for lo, nxt in zip([1, *cuts], [*cuts, self.n + 1]):
             hi = nxt - 1
             anchor = hi if hi < self.i_star else lo if lo > self.i_star else self.i_star
             b, d = self._block(lo, hi)
             g = weight[anchor][:, None]
+            # the last block ends at site n; its product goes straight to out
+            dest = out if hi == self.n else None
+            if acc is None:
+                acc = np.multiply(1.0 - g, b, out=dest)
+                acc += g * d
+                continue
             factor = (1.0 - g) * b
             factor += g * d
             # the sites so far are the low bits of the product
-            out = factor if out is None else (factor[:, :, None] * out[:, None, :]).reshape(len(g), -1)
-        return out
-
-    def fill(self, rows: np.ndarray, started: np.ndarray, dweights: np.ndarray) -> None:
-        """Write each state's duality value into its row; started and
-        dweights have one row per state and one column per site."""
-        # bit i - 1 of a started-set key marks site i
-        keys = started @ (1 << np.arange(started.shape[1]))
-        order = np.argsort(keys, kind="stable")
-        uniq, first = np.unique(keys[order], return_index=True)
-        for key, idx in zip(uniq.tolist(), np.split(order, first[1:])):
-            active = tuple(i for i in self.order if key >> (i - 1) & 1)
-            cols = [i - 1 for i in active]
-            rows[idx] = self.value(active, dweights[np.ix_(idx, cols)])
+            shape = (len(g), factor.shape[1], acc.shape[1])
+            acc = np.multiply(factor[:, :, None], acc[:, None, :],
+                              out=None if dest is None else dest.reshape(shape))
+            acc = acc.reshape(len(g), -1)
 
 
 # The partition picture is the count picture under `encode`, so a partition
@@ -642,11 +642,16 @@ _FLAVORS = tuple(_SAMPLERS)
 
 def _dual_rows(cfg, omega0, start, t, replicates, seed):
     """Per-replicate duality values from a count vector or an
-    InitiationState start, handed back one block of rows at a time.
+    InitiationState start, handed back in chunks: pairs of replicate
+    indices and their rows, at most _CHUNK_BYTES of rows each.  The rows
+    are one buffer, which the next chunk overwrites.
 
-    The start and the line-count growth are checked before this returns;
-    the dual state at time t is drawn exactly when its block is asked for.
-    A partition start enters as its `encode`d counts.
+    Each block's states are sorted stably by started-site set and cut into
+    chunks in that order, so a chunk holds its states grouped by started
+    set, and a group that crosses a chunk boundary is split between two
+    chunks.  The start and the line-count growth are checked before this
+    returns; a block's dual states at time t are drawn when its first chunk
+    is asked for.  A partition start enters as its `encode`d counts.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -657,8 +662,14 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed):
         _check_count_growth(cfg, start, t)
     f0 = fit_fraction(omega0, cfg.i_star)
     mixer = _MixtureEvaluator(cfg, omega0)
+    width = 1 << cfg.n
+    per_chunk = min(BLOCK, replicates, max(1, _CHUNK_BYTES // (8 * width)))
+    # bit i - 1 of a started-set key marks site i
+    bits = 1 << np.arange(cfg.n)
 
-    def blocks():
+    def chunks():
+        # one buffer for every chunk: fresh pages would fault on each write
+        buf = np.empty((per_chunk, width))
         for b, lo in enumerate(range(0, replicates, BLOCK)):
             rng = spawn_stream(seed, b)
             size = min(BLOCK, replicates - lo)
@@ -670,11 +681,22 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed):
                 m = ypir_block_simulate(cfg, start, t, rng, size)
                 started = m > 0
                 dweights = mixer.y ** m
-            rows = np.empty((size, 1 << cfg.n))
-            mixer.fill(rows, started, dweights)
-            yield rows
+            keys = started @ bits
+            order = np.argsort(keys, kind="stable")
+            keys, dweights = keys[order], dweights[order]
+            for a in range(0, size, per_chunk):
+                stop = min(size, a + per_chunk)
+                rows = buf[:stop - a]
+                # the chunk's runs of states with one started set
+                turns = np.flatnonzero(keys[a + 1:stop] != keys[a:stop - 1]) + a + 1
+                edges = [a, *turns.tolist(), stop]
+                for p, q in zip(edges, edges[1:]):
+                    key = int(keys[p])
+                    active = tuple(i for i in mixer.order if key >> (i - 1) & 1)
+                    mixer.value(active, dweights[p:q, [i - 1 for i in active]], rows[p - a:q - a])
+                yield lo + order[a:stop], rows
 
-    return blocks()
+    return chunks()
 
 
 def _check_line_counts(cfg: SiteConfig, t: float, flavors) -> None:
@@ -711,16 +733,17 @@ class MCEstimate:
         return diff / np.maximum(self.stderr, 1e-13)
 
 
-def _estimate(cfg: SiteConfig, blocks, flavor: str, seed: int) -> MCEstimate:
-    """Mean and standard error over blocks of replicate rows, which are
-    consumed: the deviations overwrite them.
+def _estimate(cfg: SiteConfig, chunks, flavor: str, seed: int) -> MCEstimate:
+    """Mean and standard error over the (replicate indices, rows) chunks of
+    _dual_rows, whose rows are consumed: the deviations overwrite them.
 
-    Each block is reduced in two passes and merged into the running mean
+    Each chunk is reduced in two passes and merged into the running mean
     and sum of squared deviations with Chan's pairwise update, so a single
-    block gives exactly the two-pass result.
+    chunk gives exactly the two-pass result.  The replicate indices are not
+    read: the moments do not depend on which replicate a row belongs to.
     """
     count, mean, m2 = 0, 0.0, 0.0
-    for rows in blocks:
+    for _, rows in chunks:
         size = rows.shape[0]
         bmean = rows.sum(axis=0) / size
         rows -= bmean
@@ -757,8 +780,8 @@ def mc_solution_estimate(
         raise ValueError("initial measure must live on the full site set")
     _check_time(t)
     start = _canonical_start(cfg, _SAMPLERS[flavor])
-    blocks = _dual_rows(cfg, omega0, start, t, replicates, seed)
-    return _estimate(cfg, blocks, flavor, seed)
+    chunks = _dual_rows(cfg, omega0, start, t, replicates, seed)
+    return _estimate(cfg, chunks, flavor, seed)
 
 
 def _flavor_estimates(cfg, omega0, t, replicates, seed, flavors) -> dict[str, MCEstimate]:
@@ -815,9 +838,9 @@ def duality_check(
     else:
         flavor, drawn = "counts", _validate_counts(cfg, start)
     # checks the start before the forward solve; draws come when estimated
-    blocks = _dual_rows(cfg, omega0, drawn, t, replicates, seed)
+    chunks = _dual_rows(cfg, omega0, drawn, t, replicates, seed)
     lhs = _duality_function(cfg, start, semigroup_solve(cfg, omega0, t))
-    est = _estimate(cfg, blocks, flavor, seed)
+    est = _estimate(cfg, chunks, flavor, seed)
     z = est.z_scores(lhs)
     return DualityReport(
         flavor=flavor,

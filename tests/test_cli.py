@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -744,6 +746,38 @@ def test_dual_memory_bounded_at_twelve_sites(tmp_path):
     code, peak_kb = map(int, proc.stdout.split()[-2:])
     assert code == 0
     assert peak_kb < 600 * 1024
+
+
+def test_dual_runs_at_sixteen_sites_in_one_gigabyte(tmp_path):
+    # a block of rows would be 4096 x 2^16 x 8 B = 2.1 GB; chunks of 1 MB
+    # fit under a 1 GB address-space cap
+    rng = np.random.default_rng(16)
+    n, i_star = 16, 8
+    rho = rng.uniform(0.1, 1.0, n)
+    rho[i_star - 1] = 0.0
+    initial = rng.random(2 ** n)
+    cfgp = write_config(
+        tmp_path, n=n, i_star=i_star, rho=rho.tolist(),
+        initial={"vector": (initial / initial.sum()).tolist()}, t_max=1.0,
+        grid_steps=64, quad_tol=1e-5, replicates=4096, dual_flavor="counts",
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "selrec.cli", "dual", "--config", str(cfgp),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads((tmp_path / "run" / "dual_estimates.json").read_text())
+    assert report["replicates"] == 4096
+    assert report["max_abs_z"] <= report["z_threshold"]
+    estimate = np.array(report["flavors"]["counts"]["estimate"]["values"])
+    assert estimate.shape == (2 ** n,)
+    assert np.all(estimate >= 0.0) and abs(estimate.sum() - 1.0) < 1e-12
 
 
 def _twelve_site_peak_kb(tmp_path, argv, grid_steps):

@@ -49,8 +49,10 @@ from selrec import (
     ypir_stationary,
     ypir_vector_simulate,
 )
-from selrec.duals import BLOCK, _canonical_start, _dual_rows
+from selrec.duals import _CHUNK_BYTES, BLOCK, _canonical_start, _dual_rows
 from selrec.solvers import SolverSettings, _DualityChain, _gauss_legendre, _started_mass_pgf
+
+from conftest import traced_peak
 
 
 def random_prob(sites, rng):
@@ -849,7 +851,15 @@ def test_mc_estimate_all_flavors_against_ode():
 
 
 def _stacked_rows(cfg, nu, start, t, replicates, seed):
-    return np.concatenate(list(_dual_rows(cfg, nu, start, t, replicates, seed)))
+    """The rows of _dual_rows, each put back at its replicate index; every
+    replicate must come back exactly once."""
+    out = np.empty((replicates, 2 ** cfg.n))
+    seen = np.zeros(replicates, dtype=np.int64)
+    for idx, rows in _dual_rows(cfg, nu, start, t, replicates, seed):
+        out[idx] = rows
+        seen[idx] += 1
+    assert np.all(seen == 1)
+    return out
 
 
 def _drawn_start(cfg, flavor):
@@ -871,22 +881,68 @@ def test_mc_estimate_repeat_runs_identical():
         assert np.array_equal(one.stderr, two.stderr)
 
 
+def _two_pass_reference(est, rows):
+    """Compare an estimate with the exactly rounded (fsum) two-pass mean
+    and standard error of the stacked rows.  Any float summation of reps
+    positive terms may be off from them by (reps - 1) units of roundoff,
+    which a wrong merge weight exceeds by orders of magnitude."""
+    reps = rows.shape[0]
+    rtol = reps * np.finfo(float).eps
+    mean = np.array([math.fsum(col) / reps for col in rows.T])
+    m2 = np.array([math.fsum(np.square(col - mu)) for col, mu in zip(rows.T, mean)])
+    assert est.replicates == reps
+    assert np.allclose(est.mean.values, mean, rtol=rtol, atol=0.0), est.flavor
+    assert np.allclose(est.stderr, np.sqrt(m2 / (reps - 1) / reps), rtol=rtol, atol=0.0), est.flavor
+
+
 def test_streamed_moments_match_two_pass_reduction():
-    # the reference sums are exactly rounded (fsum); any float summation of
-    # n positive terms may be off from them by (n - 1) units of roundoff,
-    # which a wrong merge weight exceeds by orders of magnitude
+    # three blocks, each one chunk
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = random_prob((1, 2, 3), spawn_stream(359, 0))
     reps = 2 * BLOCK + 7
-    rtol = reps * np.finfo(float).eps
     for flavor in ("counts", "partition", "runtimes"):
         est = mc_solution_estimate(cfg, nu, 0.7, replicates=reps, seed=359, flavor=flavor)
-        rows = _stacked_rows(cfg, nu, _drawn_start(cfg, flavor), 0.7, reps, 359)
-        mean = np.array([math.fsum(col) / reps for col in rows.T])
-        m2 = np.array([math.fsum(np.square(col - mu)) for col, mu in zip(rows.T, mean)])
-        assert est.replicates == reps
-        assert np.allclose(est.mean.values, mean, rtol=rtol, atol=0.0), flavor
-        assert np.allclose(est.stderr, np.sqrt(m2 / (reps - 1) / reps), rtol=rtol, atol=0.0), flavor
+        _two_pass_reference(est, _stacked_rows(cfg, nu, _drawn_start(cfg, flavor), 0.7, reps, 359))
+
+
+def test_streamed_moments_match_two_pass_reduction_across_chunks():
+    # n = 12: a chunk holds 32 rows, and the largest started-set group of
+    # the block is split over at least two chunks
+    n, i_star, reps, seed = 12, 5, 600, 379
+    rng = spawn_stream(seed, n)
+    rho = tuple(0.0 if i == i_star else float(rng.uniform(0.1, 0.4)) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=0.9, rho=rho)
+    nu = random_prob(cfg.sites, rng)
+    t = 0.7
+    m = ypir_block_simulate(cfg, _canonical_start(cfg, "counts"), t, spawn_stream(seed, 0), reps)
+    theta = initiation_block_simulate(
+        cfg, InitiationState.initial(cfg), t, spawn_stream(seed, 0), reps
+    )
+    bits = 1 << np.arange(n)
+    for flavor, started in (("counts", m > 0), ("runtimes", ~np.isnan(theta))):
+        keys = started @ bits
+        largest = np.bincount(keys).argmax()
+        chunks = [np.any(keys[idx] == largest)
+                  for idx, _ in _dual_rows(cfg, nu, _canonical_start(cfg, flavor), t, reps, seed)]
+        assert len(chunks) == -(-reps // (_CHUNK_BYTES // (8 * 2 ** n))), flavor
+        assert sum(chunks) >= 2, flavor
+        est = mc_solution_estimate(cfg, nu, t, replicates=reps, seed=seed, flavor=flavor)
+        _two_pass_reference(est, _stacked_rows(cfg, nu, _canonical_start(cfg, flavor), t, reps, seed))
+
+
+@pytest.mark.parametrize("replicates", [BLOCK, 2 * BLOCK + 1])
+def test_mc_estimate_holds_chunks_not_blocks(replicates):
+    # at n = 12 a block of rows is 4096 x 4096 x 8 B = 134 MB; a run holds
+    # a few 1 MB chunks, the drawn states of a block and the interval
+    # marginals of b and d
+    n, i_star = 12, 5
+    rng = spawn_stream(373, n)
+    rho = tuple(0.0 if i == i_star else float(rng.uniform(0.3, 1.5)) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=0.9, rho=rho)
+    nu = random_prob(cfg.sites, rng)
+    for flavor in ("counts", "runtimes"):
+        peak = traced_peak(lambda: mc_solution_estimate(cfg, nu, 1.0, replicates, 373, flavor))
+        assert peak <= 8 * 2 ** 20, (flavor, peak / 2 ** 20)
 
 
 def test_dual_rows_extend_block_by_block():

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +51,8 @@ from selrec.solvers import (
     grid_index,
     make_rhs,
 )
+
+from conftest import traced_peak
 
 
 def random_prob(sites, rng):
@@ -524,18 +525,6 @@ def test_streamed_walk_equals_the_level_list_bit_for_bit_in_one_row_blocks(monke
     # above fit one default block, so this is the per-row side of the check
     monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", 1)
     test_streamed_walk_equals_the_level_list_bit_for_bit()
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes allocated while fn runs, above those held before it:
-    numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def _budget_model(i_star=5):
