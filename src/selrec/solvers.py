@@ -37,7 +37,7 @@ from .sites import SiteConfig
 
 MAX_HALVINGS = 20
 # bytes of one row block of the level recursion and its residuals: the
-# arrays besides the levels themselves stay about this size
+# recursion holds a few such blocks besides the rows it returns
 _BLOCK_BYTES = 1 << 18
 
 
@@ -127,18 +127,24 @@ class Trajectory:
         return ProbabilityMeasure(self.sites, v / v.sum())
 
     def column_labels(self) -> list[str]:
-        # character j of a label is bit j of the index: the j-th site's letter
-        k = len(self.sites)
-        if not k:
-            return ["p_"]
-        return ["p_" + format(idx, f"0{k}b")[::-1] for idx in range(2 ** k)]
+        return _csv_header(len(self.sites))[2:-1].split(",")
 
     def write_csv(self, fh) -> None:
-        fh.write("t," + ",".join(self.column_labels()) + "\n")
+        fh.write(_csv_header(len(self.sites)))
         # one row of Python floats at a time: a whole-array tolist() would
         # hold about four times the array's bytes in float objects
         for t, row in zip(self.times.tolist(), self.values):
             fh.write(repr(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_header(k: int) -> str:
+    """The header line of a trajectory CSV on k sites, built once per site
+    count: t, then one label per index, whose character j is bit j of the
+    index, the j-th site's letter."""
+    if not k:
+        return "t,p_\n"
+    return "t," + ",".join("p_" + format(idx, f"0{k}b")[::-1] for idx in range(2 ** k)) + "\n"
 
 
 # -- right-hand side --------------------------------------------------------
@@ -305,9 +311,8 @@ def recursive_solve(
     With times, the returned rows are the last level's grid rows at those
     times, in their order; a time off the grid raises ValueError before any
     level.  Full vectors are built at those rows and the end point only
-    (_level_rows), one level of them, and agree with the rows of
-    ld_decay_residuals' whole-grid walk to rounding.  None keeps the whole
-    grid.
+    (_walk_levels), and they are the same rows, bit for bit, as those of
+    ld_decay_residuals.  None keeps the whole grid.
     """
     return _walk_levels(cfg, omega0, settings, times, permutation)
 
@@ -320,20 +325,21 @@ def ld_decay_residuals(
     *,
     permutation: Sequence[int] | None = None,
 ) -> tuple[Trajectory, list[dict]]:
-    """recursive_solve's solution at times, copied from a walk over the
-    whole grid, and the ld_decay_residual of every level k = 1..n-1 on the
-    whole grid, each computed in the same pass while levels k-1 and k are
-    held, one row block at a time."""
+    """recursive_solve's solution at times and the ld_decay_residual of
+    every level k = 1..n-1 on the whole grid, from one pass of the same
+    engine: every grid row goes through the levels one row block at a
+    time, and each residual is taken on the block just below and just
+    above its level, so no level is ever held whole."""
     residuals = []
     return _walk_levels(cfg, omega0, settings, times, permutation, residuals), residuals
 
 
 def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> Trajectory:
-    """The recursion's one entry point.  With residuals, streams the levels
-    on the whole grid once, appending to residuals the ld_decay_residual of
-    each level above the first; otherwise builds the last level at the rows
-    asked for and the end point only (_level_rows).  Then checks the end
-    point against the closed form and returns the rows at times."""
+    """The recursion's one entry point.  Builds the last level at the rows
+    asked for and the end point (_level_rows), passing every grid row
+    through the levels when residuals is given, to which it then appends
+    the ld_decay_residual of each level above the first.  Then checks the
+    end point against the closed form and returns the rows at times."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     permutation = cfg.ordering(permutation)
@@ -341,16 +347,10 @@ def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> T
     rows = _grid_rows(grid, times)
     # the rows held in full: the asked ones and the end point the check reads
     held = np.array(sorted({*rows.tolist(), grid.size - 1}))
-    if residuals is None:
-        level = _level_rows(cfg, omega0, grid, held, permutation)
-    else:
-        held = np.arange(grid.size)
-        for k, level in enumerate(_recursion_levels(cfg, omega0, grid, permutation)):
-            if k and residuals is not None:
-                residuals.append(ld_decay_residual(cfg, permutation[k], grid, level, below))
-            below = level
+    walked = held if residuals is None else np.arange(grid.size)
+    out = _level_rows(cfg, omega0, grid, walked, held, permutation, residuals)
     exact = semigroup_solve(cfg, omega0, settings.t_max).values
-    diff = float(np.abs(level[-1] - exact).sum())
+    diff = float(np.abs(out[-1] - exact).sum())
     if diff > 10.0 * settings.quad_tol:
         raise GridTooCoarseError(
             f"the recursion ends {diff:.3e} in l1 from the closed form, "
@@ -358,14 +358,13 @@ def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> T
             f"distance does not shrink with more steps, the recursion and the "
             f"closed form disagree"
         )
-    # a copy of the rows, so the level goes when the walk returns
-    values = level if times is None else level[np.searchsorted(held, rows)]
+    values = out if times is None else out[np.searchsorted(held, rows)]
     return Trajectory(grid[rows], cfg.sites, values)
 
 
-def _level_rows(cfg, omega0, times, held, permutation):
-    """The last level of the recursion at the grid rows held (ascending):
-    full vectors at those rows only.
+def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
+    """The last level of the recursion at the grid rows held (ascending),
+    built in two passes; no level is held whole.
 
     Of level k - 1, level k reads over the whole grid only the marginal on
     the tail of the site i = permutation[k] it adds.  Level 0 is alpha *
@@ -382,24 +381,29 @@ def _level_rows(cfg, omega0, times, held, permutation):
       (d + mass(I)) * c, the factor that also takes mass to level k's.
 
     A zero-rate site changes nothing, and any valid order works, since each
-    arm's sites come outward in it."""
+    arm's sites come outward in it.
+
+    The first pass builds every site's columns d and C over the grid,
+    O(n * grid) numbers.  The second takes the rows walked (ascending, a
+    superset of held) one block at a time through level 0 and then every
+    site, as product + d * level, a row's update reading that row's columns
+    alone.  With residuals, each site's ld_decay_residual is taken on every
+    block just below and above its level, and the blocks' are merged."""
     v0 = omega0.values
     fv = fitness_projection(omega0, cfg.i_star).values
     rest = v0 - fv
     f0 = float(fv.sum())
     e = np.exp(np.minimum(cfg.s * times, 500.0))
     den = e * f0 + (1.0 - f0)
-    # level 0 at the held rows, in _recursion_levels' operations
-    level = e[held, None] * fv
-    level += rest
-    level /= den[held, None]
     # per arm, by the sign of i - i_star: one row of coefficients per time;
     # never written in place, so the arms may share level 0's array
     coef = dict.fromkeys((-1, 1), np.stack([e / den, 1.0 / den], axis=1))
     mass = (e * f0 + (float(v0.sum()) - f0)) / den
+    steps = []
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
         if rate == 0.0:
+            steps.append((i, None))
             continue
         arm = 1 if i > cfg.i_star else -1
         split = Split(cfg.sites, *cfg.head_tail(i))
@@ -408,94 +412,62 @@ def _level_rows(cfg, omega0, times, held, permutation):
         integ = _cumulative_trapezoid((rate * decay)[:, None] * coef[arm], times)
         # decay + mass(I)
         grow = decay + integ[:, 0] * float(fv_t.sum()) + integ[:, 1] * float(rest_t.sum())
-        # product + decay * level, one block of rows at a time, in place
-        for r in _row_blocks(*level.shape):
-            c = integ[held[r]]
-            tail = c[:, :1] * fv_t + c[:, 1:] * rest_t
-            product = split.product(split.head(level[r]), tail)
-            level[r] *= decay[held[r], None]
-            level[r] += product
         coef[arm] = decay[:, None] * coef[arm] + mass[:, None] * integ
         coef[-arm] = grow[:, None] * coef[-arm]
         mass = grow * mass
-    return level
+        steps.append((i, (split, decay, integ, fv_t, rest_t)))
+
+    # where each walked row goes among the held ones, if it is held
+    keep = np.isin(walked, held)
+    dest = np.searchsorted(held, walked)
+    out = np.empty((held.size, v0.size))
+    blocks = [[] for _ in steps]
+    for r in _row_blocks(walked.size, v0.size):
+        at = walked[r]
+        level = e[at, None] * fv
+        level += rest
+        level /= den[at, None]
+        for (i, step), parts in zip(steps, blocks):
+            below = level
+            if step is not None:
+                split, decay, integ, fv_t, rest_t = step
+                c = integ[at]
+                level = split.product(split.head(below), c[:, :1] * fv_t + c[:, 1:] * rest_t)
+                level += decay[at, None] * below
+            if residuals is not None:
+                parts.append(ld_decay_residual(cfg, i, times[at], level, below))
+        out[dest[r][keep[r]]] = level[keep[r]]
+    if residuals is not None:
+        # a row's norms are its own and a maximum does not depend on the
+        # grouping: the bits of one call on the whole grid
+        residuals.extend(
+            _residual(i, cfg.rho_of(i), max(part["max_abs_error"] for part in parts),
+                      np.concatenate([part["lhs_norms"] for part in parts]),
+                      np.concatenate([part["below_norms"] for part in parts]))
+            for (i, _), parts in zip(steps, blocks)
+        )
+    return out
 
 
-def _cumulative_trapezoid(y, times, start=None):
+def _cumulative_trapezoid(y, times):
     """Trapezoid integrals of the rows of y from times[0] to each time, in
     the order of operations of the SciPy routine cumulative_trapezoid, to
-    the bit (tests/test_solvers.py compares the two).  With start, the
-    integral at times[0]: the prefix sums run on from it, through the
-    additions and in the order of a run over the whole grid."""
+    the bit (tests/test_solvers.py compares the two)."""
     out = np.empty_like(y)
-    out[0] = 0.0 if start is None else start
+    out[0] = 0.0
     # dt * (y[1:] + y[:-1]) / 2.0 and its prefix sums, built in out
     step = np.add(y[1:], y[:-1], out=out[1:])
     step *= np.diff(times)[:, None]
     step /= 2.0
-    summed = step if start is None else out
-    np.cumsum(summed, axis=0, out=summed)
+    np.cumsum(step, axis=0, out=step)
     return out
 
 
-def _row_blocks(stop: int, width: int, start: int = 0) -> list[slice]:
-    """Consecutive ranges of the rows start..stop-1 of an array of width
-    floats per row, each of at most _BLOCK_BYTES (one row at least)."""
+def _row_blocks(stop: int, width: int) -> list[slice]:
+    """Consecutive ranges of the rows 0..stop-1 of an array of width floats
+    per row, each of at most _BLOCK_BYTES (one row at least)."""
     rows = max(1, _BLOCK_BYTES // (width * 8))
-    return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
-
-
-def _recursion_levels(cfg, omega0, times, permutation):
-    """Yield the levels' values on the grid one at a time, each computed
-    from the one before.  Level 0 is the selection-only flow, level k adds
-    crossover site permutation[k].  A yielded array is never written
-    again, so a caller may hold it while the next level is built."""
-    s = cfg.s
-    v0 = omega0.values
-    fv = fitness_projection(omega0, cfg.i_star).values
-    f0 = float(fv.sum())
-    st = np.minimum(s * times, 500.0)
-    e = np.exp(st)
-    # (e * fv + (v0 - fv)) / (e * f0 + 1 - f0), built in one array
-    level = e[:, None] * fv
-    level += v0 - fv
-    level /= (e * f0 + (1.0 - f0))[:, None]
-    yield level
-    for i in permutation[1:]:
-        rate = cfg.rho_of(i)
-        if rate != 0.0:
-            level = _next_level(cfg, i, rate, times, level)
-        yield level
-
-
-def _next_level(cfg, i, rate, times, level):
-    """The level that adds crossover site i at a positive rate to level.
-    Its own temporaries go when it returns, so a suspended walk holds the
-    levels alone."""
-    head, tail = cfg.head_tail(i)
-    split = Split(cfg.sites, head, tail)
-    decay = np.exp(-rate * times)
-    new = np.empty_like(level)
-    integral = None
-    # the trapezoid is linear, so it integrates the tail marginal only, in
-    # blocks of rows of the tail's width: a block takes the row before it
-    # too, whose integral starts the prefix sums unless that row is the
-    # grid's first
-    for R in _row_blocks(len(times), 2 ** len(tail)):
-        a = max(R.start - 1, 0)
-        y = (rate * decay[a:R.stop])[:, None] * split.tail(level[a:R.stop])
-        integ = _cumulative_trapezoid(y, times[a:R.stop], integral if a else None)
-        # the tail blocks go as soon as they are read, so at most two are held
-        del y
-        integral = integ[-1].copy()
-        # product + decay * level, one block of rows at a time: a row's
-        # marginals do not depend on the rows reduced with it, and IEEE
-        # addition commutes, so the bits are those of the whole-array sum
-        for r in _row_blocks(R.stop, level.shape[1], R.start):
-            split.product(split.head(level[r]), integ[r.start - a:r.stop - a], out=new[r])
-            new[r] += decay[r, None] * level[r]
-        del integ
-    return new
+    return [slice(a, min(a + rows, stop)) for a in range(0, stop, rows)]
 
 
 def linkage_disequilibrium(cfg: SiteConfig, i: int, nu: Measure) -> Measure:
@@ -511,9 +483,10 @@ def ld_decay_residual(
     cfg: SiteConfig, i: int, times: np.ndarray, level: np.ndarray, below: np.ndarray
 ) -> dict:
     """Compare the product deviation at site i's cut of the level that adds
-    site i with the exponentially damped deviation of the level below,
-    across the whole grid.  level and below hold values on the grid times,
-    one row per time; neither is written."""
+    site i with the exponentially damped deviation of the level below, at
+    every one of the times.  level and below hold one row per time; neither
+    is written.  Every norm is a row's own, so ld_decay_residuals takes it
+    one row block at a time and merges the blocks to the same bits."""
     rate = cfg.rho_of(i)
     split = Split(cfg.sites, *cfg.head_tail(i))
     decay = np.exp(-rate * times)
@@ -537,12 +510,17 @@ def ld_decay_residual(
     err, norms, below_norms = (np.empty(level.shape[0]) for _ in range(3))
     for r in _row_blocks(*level.shape):
         err[r], norms[r], below_norms[r] = row_norms(r)
+    return _residual(i, rate, float(err.max()), norms, below_norms)
+
+
+def _residual(i: int, rate: float, err: float, norms, below_norms) -> dict:
+    """An ld_decay_residual from its largest error and its per-row norms."""
     scale = max(float(norms.max()), 1e-30)
     return {
         "site": i,
         "rate": rate,
-        "max_abs_error": float(err.max()),
-        "max_relative_error": float(err.max() / scale),
+        "max_abs_error": err,
+        "max_relative_error": err / scale,
         "lhs_norms": norms,
         "below_norms": below_norms,
     }

@@ -703,7 +703,7 @@ def test_verify_duality_holds_on_product_initial_measure(tmp_path):
     # selection acts on one site and recombination keeps product measures,
     # so the run-time duality values are exact and their z-scores measure
     # the forward reference alone.  The exit code is not asserted:
-    # ld_decay_identity still fails on this input (ROADMAP item 2(f)).
+    # ld_decay_identity still fails on this input (ROADMAP item 7).
     cfgp = tmp_path / "product.json"
     cfgp.write_text(json.dumps({
         "n": 2, "i_star": 1, "s": 0.8, "rho": [0.0, 0.6],
@@ -803,18 +803,18 @@ def _twelve_site_peak_kb(tmp_path, argv, grid_steps):
 
 
 def test_solve_memory_bounded_at_twelve_sites(tmp_path):
-    # the recursion holds two levels at a time and the ODE one trajectory:
-    # with the whole level list kept, such a run peaked at about 94 MB
+    # the recursion holds the asked rows and a few row blocks, the ODE one
+    # trajectory: with the whole level list kept, such a run peaked at
+    # about 94 MB
     code, peak_kb = _twelve_site_peak_kb(tmp_path, ["solve", "--method", "all"], 128)
     assert code == 0
     assert peak_kb < 75 * 1024
 
 
 def test_ld_memory_bounded_at_twelve_sites(tmp_path):
-    # the level residuals are taken while a level and the one below it are
-    # held, so the 12 levels of 513 x 4096 floats (17 MB each) are never
-    # all alive: with the whole level list kept, such a run peaked at
-    # about 320 MB
+    # the level residuals are taken one row block at a time, so no level
+    # of 513 x 4096 floats (17 MB) is ever held whole: with the whole
+    # level list kept, such a run peaked at about 320 MB
     code, peak_kb = _twelve_site_peak_kb(tmp_path, ["ld"], 512)
     assert code == 0
     assert peak_kb < 150 * 1024

@@ -48,7 +48,6 @@ from selrec.solvers import (
     _BLOCK_BYTES,
     SolverError,
     _cumulative_trapezoid,
-    _recursion_levels,
     grid_index,
     make_rhs,
 )
@@ -266,12 +265,13 @@ def test_ode_halves_the_step_after_a_collapsed_run():
 
 
 def count_calls(monkeypatch, name):
-    """A list that grows by one entry per call of the solvers function name."""
+    """A list that grows by the positional arguments of each call of the
+    solvers function name."""
     calls = []
     real = getattr(selrec.solvers, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(selrec.solvers, name, wrapper)
@@ -299,7 +299,7 @@ def test_ode_returns_its_first_run_within_tolerance_of_the_closed_form(monkeypat
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     runs = count_calls(monkeypatch, "_rk4_run")
     traj = integrate_ode(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7))
-    assert runs == ["_rk4_run"]
+    assert len(runs) == 1
     assert l1_distance(traj.final(), semigroup_solve(cfg, nu, 1.0)) < 1e-7
 
 
@@ -422,21 +422,22 @@ def test_trapezoid_prefix_sum_matches_scipy_bits(monkeypatch):
         _cumulative_trapezoid(y, times),
         cumulative_trapezoid(y, x=times, axis=0, initial=0.0),
     )
-    # a level built in row blocks, whose tail integral runs on across every
-    # block boundary, against SciPy's integral over the whole grid; with the
-    # selected site first the tail is n - 1 sites wide
+    # the levels built in row blocks of 1, 2, 7 and all 129 rows: the same
+    # bits at every block size, within 1e-13 in l1 per row of the reference
+    # built whole on SciPy's integral; with the selected site first the
+    # first tail is n - 1 sites wide
     cfg = SiteConfig(n=7, i_star=1, s=0.8, rho=(0.0, 0.7, 0.4, 0.9, 0.3, 0.6, 0.5))
-    level = spawn_stream(101, 32).random((129, 2 ** cfg.n))
-    split = Split(cfg.sites, *cfg.head_tail(2))
-    decay = np.exp(-0.7 * times)
-    integ = cumulative_trapezoid((0.7 * decay)[:, None] * split.tail(level), x=times, axis=0,
-                                 initial=0.0)
-    expect = split.product(split.head(level), integ) + decay[:, None] * level
-    row = level.shape[1] * level.itemsize
+    nu = random_prob(cfg.sites, spawn_stream(101, 32))
+    settings = SolverSettings(t_max=0.7, grid_steps=128, quad_tol=1e-3)
+    expect = levels_of(cfg, nu, settings)[2][-1]
+    row = 2 ** cfg.n * 8
+    first = None
     for rows in (1, 2, 7, 129):
         monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", rows * row)
-        got = selrec.solvers._next_level(cfg, 2, 0.7, times, level)
-        assert np.array_equal(got, expect), rows
+        got = recursive_solve(cfg, nu, settings).values
+        assert np.abs(got - expect).sum(axis=1).max() <= 1e-13, rows
+        first = got if first is None else first
+        assert np.array_equal(got, first), rows
 
 
 def test_tail_only_recursion_level_matches_full_array_formula():
@@ -470,6 +471,11 @@ def test_recursion_levels_degenerate_without_rate():
                                                      quad_tol=1e-5))
     # permutation (2, 1, 3): site 1 has rate zero, level 1 equals level 0
     assert np.array_equal(levels[1], levels[0])
+    # and the engine's residual at site 1 compares a level with itself
+    _, residuals = ld_decay_residuals(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512,
+                                                               quad_tol=1e-5), ())
+    assert residuals[0]["site"] == 1 and residuals[0]["max_abs_error"] == 0.0
+    assert np.array_equal(residuals[0]["lhs_norms"], residuals[0]["below_norms"])
 
 
 def _residual_out_of_place(cfg, i, times, level, below):
@@ -564,20 +570,44 @@ def _budget_model(i_star=5):
      for i_star in (1, 5, 10)],
 )
 def test_recursion_holds_two_levels_and_row_blocks(solver, i_star):
+    # the whole grid's rows are the one level held, and the residuals add
+    # row blocks and grid columns only: well under the two levels the name
+    # allows
     cfg, nu, settings = _budget_model(i_star)
-    row = 2 ** cfg.n * 8
-    level = (settings.grid_steps + 1) * row
-    block = max(1, _BLOCK_BYTES // row) * row
     peak = traced_peak(lambda: solver(cfg, nu, settings))
-    assert peak <= 2 * level + 4 * block, peak / level
+    assert peak <= _rows_blocks_and_columns(cfg, settings, settings.grid_steps + 1), peak
+
+
+def _rows_blocks_and_columns(cfg, settings, rows) -> int:
+    """What ld_decay_residuals may hold: full vectors at rows grid rows,
+    six row blocks (a block, the one below it, a product and the residual's
+    two deviations), O(n * grid) grid columns (each site's decay and tail
+    integral columns, the arms' coefficients and the residual norms), and
+    the closed-form check's vectors, within 24 rows."""
+    row = 2 ** cfg.n * 8
+    block = max(1, _BLOCK_BYTES // row) * row
+    columns = (3 * cfg.n + 16) * (settings.grid_steps + 1) * 8
+    return rows * row + 6 * block + columns + 24 * row
+
+
+@pytest.mark.parametrize("times", ["end", "no-rows"])
+@pytest.mark.parametrize("i_star", [1, 5, 10])
+def test_ld_residuals_hold_row_blocks_and_grid_columns(i_star, times):
+    # verify's end point and ld's no rows: one row held, well under one
+    # level of 257 rows (the whole grid is the test above)
+    cfg, nu, settings = _budget_model(i_star)
+    times = {"end": (settings.t_max,), "no-rows": ()}[times]
+    peak = traced_peak(lambda: ld_decay_residuals(cfg, nu, settings, times))
+    bound = _rows_blocks_and_columns(cfg, settings, 1)
+    assert peak <= bound < (settings.grid_steps + 1) * 2 ** cfg.n * 8, peak
 
 
 @pytest.mark.parametrize("i_star", [1, 5, 10])
 def test_recursion_without_times_holds_one_level(i_star):
-    # every grid row through _level_rows: one level, a product of one row
-    # block beside it, two coefficient columns per arm and a few grid-wide
-    # scalars (16 grid columns), and the closed-form check's vectors within
-    # 24 rows; the walk holds two levels
+    # every grid row through _level_rows: one level of returned rows and,
+    # beside it, a block, the block below it and a product, with every
+    # site's grid columns, within four row blocks and 16 grid columns; and
+    # the closed-form check's vectors within 24 rows
     cfg, nu, settings = _budget_model(i_star)
     row = 2 ** cfg.n * 8
     level = (settings.grid_steps + 1) * row
@@ -701,16 +731,20 @@ def test_recursion_names_a_disagreement_that_more_steps_do_not_shrink(monkeypatc
 
 
 def test_recursion_walks_the_levels_once(monkeypatch):
-    # the end point is checked against the closed form, not a second pass;
-    # recursive_solve builds its rows without walking the levels at all
+    # the end point is checked against the closed form, not a second pass:
+    # each solver runs the engine once, and its rows pass once through the
+    # levels, in row blocks
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     settings = SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7)
-    walks = count_calls(monkeypatch, "_recursion_levels")
+    walks = count_calls(monkeypatch, "_walk_levels")
+    blocks = count_calls(monkeypatch, "_row_blocks")
     recursive_solve(cfg, nu, settings)
-    assert len(walks) == 0
+    assert len(walks) == 1 and blocks == [(513, 8)]
+    blocks.clear()
     ld_decay_residuals(cfg, nu, settings)
-    assert len(walks) == 1
+    # and ld_decay_residual's own split of each of the two residual blocks
+    assert len(walks) == 2 and blocks == [(513, 8)] + [(513, 8)] * 2
 
 
 # -- semigroup solution -------------------------------------------------------------
@@ -817,6 +851,50 @@ def test_ld_exponential_decay_identity():
         assert len(residuals) == cfg.n - 1
         for level, res in enumerate(residuals, start=1):
             assert res["max_relative_error"] < 1e-4, (cfg, level)
+
+
+@pytest.mark.parametrize("block_bytes", [1, _BLOCK_BYTES], ids=["one-row", "default"])
+def test_residuals_merged_over_blocks_equal_one_whole_call(monkeypatch, block_bytes):
+    # the engine calls ld_decay_residual on every row block, just below and
+    # above each level, and merges the calls: the bits of one call on the
+    # whole grid's rows; site 3 has rate zero
+    monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", block_bytes)
+    cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
+    nu = random_prob(cfg.sites, spawn_stream(101, 48))
+    settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
+    calls = count_calls(monkeypatch, "ld_decay_residual")
+    _, residuals = ld_decay_residuals(cfg, nu, settings, ())
+    blocks = settings.grid_steps + 1 if block_bytes == 1 else 1
+    assert len(calls) == blocks * len(residuals) == blocks * (cfg.n - 1)
+    for res in residuals:
+        mine = [args for args in calls if args[1] == res["site"]]
+        times, level, below = (np.concatenate([args[k] for args in mine]) for k in (2, 3, 4))
+        assert np.array_equal(times, settings.grid())
+        expect = ld_decay_residual(cfg, res["site"], times, level, below)
+        assert res.keys() == expect.keys()
+        for key, value in expect.items():
+            assert np.array_equal(res[key], value), (res["site"], key)
+
+
+def test_product_start_residuals_are_the_trapezoid_deviation():
+    # configs/example.json's model on a product start, each site (0.3, 0.7):
+    # the dynamics keep it a product, so every linkage deviation vanishes in
+    # exact arithmetic, and the residuals read the trapezoid's own deviation
+    # from a product, about 1e-7, not rounding.  So the relative error is
+    # about 1 and verify's ld_decay_identity fails on such a start
+    cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
+    nu = product_measure(cfg.sites, [0.7, 0.7, 0.7])
+    settings = SolverSettings(t_max=1.0, grid_steps=512, quad_tol=1e-7)
+    times, perm, levels = levels_of(cfg, nu, settings)
+    _, residuals = ld_decay_residuals(cfg, nu, settings, ())
+    assert [res["site"] for res in residuals] == [1, 3]
+    for k, got in enumerate(residuals, start=1):
+        expect = ld_decay_residual(cfg, perm[k], times, levels[k], levels[k - 1])
+        assert abs(got["max_abs_error"] - expect["max_abs_error"]) <= 1e-14
+        assert np.abs(got["lhs_norms"] - expect["lhs_norms"]).max() <= 1e-14
+    assert [round(res["max_abs_error"], 9) for res in residuals] == [1.53e-7, 1.23e-7]
+    assert [round(res["lhs_norms"].max(), 9) for res in residuals] == [1.53e-7, 2.16e-7]
+    assert residuals[0]["max_relative_error"] > 0.99
 
 
 def test_ld_norm_ratio_is_exponential():
@@ -1009,61 +1087,44 @@ def test_column_labels_equal_the_per_bit_construction(k):
     assert traj.column_labels() == per_bit
 
 
-def record_levels(monkeypatch) -> list:
-    """A list that holds every level the recursion yields, in order."""
-    levels = []
-    real = selrec.solvers._recursion_levels
-
-    def wrapper(*args):
-        for level in real(*args):
-            levels.append(level)
-            yield level
-
-    monkeypatch.setattr(selrec.solvers, "_recursion_levels", wrapper)
-    return levels
-
-
 @pytest.mark.parametrize("solver", [recursive_solve, ld_decay_residuals],
                          ids=["recursive_solve", "ld_decay_residuals"])
 def test_recursion_rows_at_times_are_copies_in_order(monkeypatch, solver):
     cfg = SiteConfig(n=3, i_star=2, s=0.8, rho=(0.9, 0.0, 0.5))
     nu = ProbabilityMeasure(cfg.sites, EXAMPLE_VECTOR)
     settings = SolverSettings(t_max=1.0, grid_steps=8, quad_tol=1e-3)
-    levels = record_levels(monkeypatch)
-    # the whole grid without times, from the walk
+    # the whole grid without times, against the whole-level reference
     whole, _ = ld_decay_residuals(cfg, nu, settings)
-    assert np.array_equal(whole.values, levels[-1])
+    reference = levels_of(cfg, nu, settings)[2][-1]
+    assert np.abs(whole.values - reference).sum(axis=1).max() <= 1e-13
 
-    # ld_decay_residuals walks the whole grid for its residuals and copies
-    # the rows bit for bit; recursive_solve builds full vectors at the asked
-    # rows only, within 1e-13 in l1 per row of the whole-grid walk's
-    def same(got, expect):
-        if solver is ld_decay_residuals:
-            return np.array_equal(got, expect)
-        return np.abs(got - expect).sum(axis=-1).max() <= 1e-13
+    # both solvers build their rows in the one engine, one row at a time
+    # through the levels: any rows they return are the whole grid's bits
+    def rows_of(times=None):
+        got = solver(cfg, nu, settings, times)
+        return got[0] if isinstance(got, tuple) else got
 
-    every = solver(cfg, nu, settings)
-    every = every[0] if isinstance(every, tuple) else every
-    assert every.times.tolist() == whole.times.tolist() and same(every.values, whole.values)
+    every = rows_of()
+    assert every.times.tolist() == whole.times.tolist()
+    assert np.array_equal(every.values, whole.values)
 
     # out of order, repeated and t = 0; 0.25 + 1e-12 lies on the grid point
     # 0.25 within grid_index's tolerance
-    rows = solver(cfg, nu, settings, [0.75, 0.25 + 1e-12, 0.0, 0.75])
-    rows = rows[0] if isinstance(rows, tuple) else rows
+    rows = rows_of([0.75, 0.25 + 1e-12, 0.0, 0.75])
     assert rows.times.tolist() == [0.75, 0.25, 0.0, 0.75]
-    assert same(rows.values, whole.values[[6, 2, 0, 6]])
-    assert np.array_equal(rows.values[0], rows.values[3])
+    assert np.array_equal(rows.values, whole.values[[6, 2, 0, 6]])
     assert rows.sites == cfg.sites
-    assert not any(np.shares_memory(rows.values, level) for level in levels)
+    # a copy of the rows, not a view that would keep the engine's rows alive
+    assert rows.values.base is None
     # the end point alone, as verify asks for it
-    end = solver(cfg, nu, settings, (1.0,))
-    end = end[0] if isinstance(end, tuple) else end
-    assert end.values.shape == (1, 8) and same(end.values[0], whole.values[-1])
-    assert not any(np.shares_memory(end.values, level) for level in levels)
-    levels.clear()
+    end = rows_of((1.0,))
+    assert end.values.shape == (1, 8) and np.array_equal(end.values[0], whole.values[-1])
+    assert end.values.base is None
+    integrals = count_calls(monkeypatch, "_cumulative_trapezoid")
     with pytest.raises(ValueError, match="not on the solver grid"):
-        solver(cfg, nu, settings, [0.5, 0.3])
-    assert levels == []
+        rows_of([0.5, 0.3])
+    # refused before the first pass builds any column
+    assert integrals == []
 
 
 def random_valid_order(cfg, rng) -> tuple:
@@ -1080,19 +1141,20 @@ def random_valid_order(cfg, rng) -> tuple:
 
 def assert_rows_meet_the_whole_grid(cfg, nu, settings, times, permutation=None):
     """recursive_solve at times, and without times, against the same rows
-    of the whole-grid walk (ld_decay_residuals' solution): equal times, and
-    at most 1e-13 apart in l1 per row (the rows path sums in another order,
-    so the bits may differ)."""
+    of ld_decay_residuals' whole grid, bit for bit (one engine builds them
+    all, row by row), and of the whole-level reference within 1e-13 in l1
+    per row (the engine sums in another order, so the bits may differ)."""
     rows = recursive_solve(cfg, nu, settings, times, permutation=permutation)
     every = recursive_solve(cfg, nu, settings, permutation=permutation)
     whole, _ = ld_decay_residuals(cfg, nu, settings, permutation=permutation)
+    reference = levels_of(cfg, nu, settings, permutation)[2][-1]
     idx = [grid_index(whole.times, t) for t in times]
     assert rows.times.tolist() == whole.times[idx].tolist()
     assert every.times.tolist() == whole.times.tolist()
     assert rows.sites == cfg.sites and rows.values.shape == (len(times), 2 ** cfg.n)
-    gap = np.abs(rows.values - whole.values[idx]).sum(axis=1)
-    assert gap.max(initial=0.0) <= 1e-13, (cfg, permutation, gap.max())
-    gap = np.abs(every.values - whole.values).sum(axis=1)
+    assert np.array_equal(rows.values, whole.values[idx])
+    assert np.array_equal(every.values, whole.values)
+    gap = np.abs(whole.values - reference).sum(axis=1)
     assert gap.max() <= 1e-13, (cfg, permutation, gap.max())
 
 
@@ -1101,7 +1163,7 @@ def test_recursion_rows_meet_the_whole_grid_walk(monkeypatch):
     # zero-rate sites and random valid orders; out-of-order, repeated and
     # t = 0 times that leave most of the grid out
     rng = spawn_stream(101, 46)
-    walks = count_calls(monkeypatch, "_recursion_levels")
+    walks = count_calls(monkeypatch, "_walk_levels")
     for case in range(36):
         n = int(rng.integers(1, 9))
         i_star = (1, n, int(rng.integers(1, n + 1)))[case % 3]
@@ -1117,8 +1179,8 @@ def test_recursion_rows_meet_the_whole_grid_walk(monkeypatch):
         permutation = None if case % 2 else random_valid_order(cfg, rng)
         walks.clear()
         assert_rows_meet_the_whole_grid(cfg, nu, settings, times, permutation)
-        # the whole-grid walk is the reference's alone: the rows built none
-        assert len(walks) == 1
+        # one pass of the engine per solver call; the reference runs none
+        assert len(walks) == 3
 
 
 def test_recursion_rows_of_every_valid_order_and_a_start_off_mass_one():
@@ -1144,25 +1206,28 @@ def test_recursion_rows_of_every_valid_order_and_a_start_off_mass_one():
 def test_recursion_rows_path_raises_grid_too_coarse(monkeypatch):
     cfg = SiteConfig(n=3, i_star=2, s=1.0, rho=(2.0, 0.0, 2.0))
     nu = random_prob(cfg.sites, spawn_stream(101, 11))
-    walks = count_calls(monkeypatch, "_recursion_levels")
+    blocks = count_calls(monkeypatch, "_row_blocks")
     with pytest.raises(GridTooCoarseError):
         recursive_solve(cfg, nu, SolverSettings(t_max=5.0, grid_steps=8, quad_tol=1e-9),
                         [0.0, 2.5])
-    assert walks == []
+    # the engine went through the levels at the rows of t = 0, 2.5 and the
+    # end point only, not the whole grid
+    assert blocks == [(3, 8)]
 
 
 @pytest.mark.parametrize("i_star", [1, 5, 10])
 def test_recursion_rows_hold_the_asked_rows(i_star):
     # solve's five times on n = 10: full vectors at the held rows R (the
     # asked ones and the end point) and, beside them, one product of at
-    # most |R| rows; over the whole grid two coefficient columns per arm
-    # and a few grid-wide scalars (16 grid columns); and the closed-form
-    # check's vectors, within the 24 rows that the ODE's budget leaves
-    # them.  The whole-grid walk holds 565-590 rows here.
+    # most |R| rows; over the whole grid each site's decay and two integral
+    # columns, two coefficient columns per arm and a few grid-wide scalars
+    # (3 n + 16 grid columns); and the closed-form check's vectors, within
+    # the 24 rows that the ODE's budget leaves them.  A whole-grid walk of
+    # two levels holds 565-590 rows here.
     cfg, nu, settings = _budget_model(i_star)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     row = 2 ** cfg.n * 8
     held = 2 * len(times) * row
-    grid_columns = 16 * (settings.grid_steps + 1) * 8
+    grid_columns = (3 * cfg.n + 16) * (settings.grid_steps + 1) * 8
     peak = traced_peak(lambda: recursive_solve(cfg, nu, settings, times))
     assert peak <= held + grid_columns + 24 * row, peak / row
