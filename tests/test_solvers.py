@@ -579,7 +579,7 @@ def test_recursion_holds_two_levels_and_row_blocks(solver, i_star):
 
 
 def _rows_blocks_and_columns(cfg, settings, rows) -> int:
-    """What ld_decay_residuals may hold: full vectors at rows grid rows,
+    """What the recursion may hold: full vectors at rows grid rows,
     six row blocks (a block, the one below it, a product and the residual's
     two deviations), O(n * grid) grid columns (each site's decay and tail
     integral columns, the arms' coefficients and the residual norms), and
