@@ -92,7 +92,8 @@ def _check_out(out: Path) -> None:
 def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
     """Write every file of a run under out, each stamped with the config
     hash and the package version."""
-    provenance = f"# selrec {__version__} config {exp.config_hash}\n"
+    config_hash = exp.config_hash
+    provenance = f"# selrec {__version__} config {config_hash}\n"
     path = out
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +101,7 @@ def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
             path = out / name
             with path.open("w") as fh:
                 if isinstance(payload, dict):
-                    stamped = {**payload, "config_hash": exp.config_hash, "version": __version__}
+                    stamped = {**payload, "config_hash": config_hash, "version": __version__}
                     fh.write(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
                 elif isinstance(payload, Trajectory):
                     fh.write(provenance)

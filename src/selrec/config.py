@@ -6,7 +6,6 @@ significant bit) or as independent per-site marginals.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import reprlib
@@ -20,6 +19,18 @@ from .duals import _FLAVORS
 from .measure import MASS_TOL, NEG_TOL, ProbabilityMeasure, product_measure
 from .sites import SiteConfig
 from .solvers import SolverSettings, _grid_rows
+
+
+# CPython's built-in SHA-256 rather than hashlib's: hashlib maps OpenSSL's
+# libcrypto, a few MB resident.  Besides this hash only numpy.random loads it
+# (secrets imports hmac), so the commands that draw no random numbers never do
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10, 3.11
+    except ImportError:  # a build configured without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 
 class ConfigError(ValueError):
@@ -116,8 +127,11 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
+        """SHA-256 hex digest of the config's canonical JSON: sorted keys,
+        "," and ":" separators.  Each call serialises and hashes the whole
+        config, a 2^n initial vector included."""
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _sha256(canon.encode()).hexdigest()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

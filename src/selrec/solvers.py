@@ -416,6 +416,9 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
         coef[-arm] = grow[:, None] * coef[-arm]
         mass = grow * mass
         steps.append((i, (split, decay, integ, fv_t, rest_t)))
+    # the second pass reads only the columns in steps; the rest would stay
+    # live beside its row blocks
+    del coef, mass
 
     # where each walked row goes among the held ones, if it is held
     keep = np.isin(walked, held)
@@ -428,14 +431,16 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
         level += rest
         level /= den[at, None]
         for (i, step), parts in zip(steps, blocks):
-            below = level
+            below, below_head = level, None
             if step is not None:
                 split, decay, integ, fv_t, rest_t = step
                 c = integ[at]
-                level = split.product(split.head(below), c[:, :1] * fv_t + c[:, 1:] * rest_t)
+                below_head = split.head(below)
+                level = split.product(below_head, c[:, :1] * fv_t + c[:, 1:] * rest_t)
                 level += decay[at, None] * below
             if residuals is not None:
-                parts.append(ld_decay_residual(cfg, i, times[at], level, below))
+                parts.append(ld_decay_residual(cfg, i, times[at], level, below,
+                                               below_head=below_head))
         out[dest[r][keep[r]]] = level[keep[r]]
     if residuals is not None:
         # a row's norms are its own and a maximum does not depend on the
@@ -480,25 +485,35 @@ def linkage_disequilibrium(cfg: SiteConfig, i: int, nu: Measure) -> Measure:
 
 
 def ld_decay_residual(
-    cfg: SiteConfig, i: int, times: np.ndarray, level: np.ndarray, below: np.ndarray
+    cfg: SiteConfig,
+    i: int,
+    times: np.ndarray,
+    level: np.ndarray,
+    below: np.ndarray,
+    *,
+    below_head: np.ndarray | None = None,
 ) -> dict:
     """Compare the product deviation at site i's cut of the level that adds
     site i with the exponentially damped deviation of the level below, at
     every one of the times.  level and below hold one row per time; neither
     is written.  Every norm is a row's own, so ld_decay_residuals takes it
-    one row block at a time and merges the blocks to the same bits."""
+    one row block at a time and merges the blocks to the same bits.
+
+    below_head, when given, is below's marginal on the head of site i's cut,
+    one row per time, as the recursion has already taken it to build level;
+    None takes it here."""
     rate = cfg.rho_of(i)
     split = Split(cfg.sites, *cfg.head_tail(i))
     decay = np.exp(-rate * times)
 
-    def deviation(W):
-        out = split.product(split.head(W), split.tail(W))
+    def deviation(W, head=None):
+        out = split.product(split.head(W) if head is None else head, split.tail(W))
         return np.subtract(W, out, out=out)
 
     def row_norms(r):
         # the same operations as lhs - decay * below and its norms, on two
         # buffers: each in-place step gives the bits of its out-of-place form
-        rhs = deviation(below[r])
+        rhs = deviation(below[r], None if below_head is None else below_head[r])
         below_norms = np.abs(rhs).sum(axis=1)
         rhs *= decay[r, None]
         lhs = deviation(level[r])
@@ -507,9 +522,8 @@ def ld_decay_residual(
 
     # one block of rows at a time: a row's sum does not depend on the rows
     # summed with it
-    err, norms, below_norms = (np.empty(level.shape[0]) for _ in range(3))
-    for r in _row_blocks(*level.shape):
-        err[r], norms[r], below_norms[r] = row_norms(r)
+    parts = [row_norms(r) for r in _row_blocks(*level.shape)]
+    err, norms, below_norms = (np.concatenate(part) for part in zip(*parts))
     return _residual(i, rate, float(err.max()), norms, below_norms)
 
 

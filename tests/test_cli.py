@@ -211,6 +211,39 @@ def test_every_command_stamps_its_files_and_repeats_them(tmp_path):
         assert contents[0] == contents[1], argv
 
 
+def test_config_hash_is_the_sha256_of_the_canonical_json_taken_once(tmp_path, monkeypatch):
+    # the stamp is hashlib's SHA-256 of the sorted, compact JSON of the
+    # config, and solve --method all (three CSVs and solve_meta.json)
+    # serialises and hashes the config, its 2^n initial vector included, once
+    import hashlib
+
+    import selrec.config
+
+    weights = np.random.default_rng(25).random(1 << 10)
+    vector = write_config(tmp_path, n=10, i_star=1, rho=[0.1 * k for k in range(10)],
+                          initial={"vector": (weights / weights.sum()).tolist()},
+                          grid_steps=64, quad_tol=1e-3)
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+    digests = []
+
+    def counted(data, _real=selrec.config._sha256):
+        digests.append(data)
+        return _real(data)
+
+    monkeypatch.setattr(selrec.config, "_sha256", counted)
+    for cfgp in (example, vector):
+        raw = json.loads(cfgp.read_text())
+        canon = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+        config_hash = ExperimentConfig.from_file(cfgp).config_hash
+        assert config_hash == hashlib.sha256(canon).hexdigest()
+        digests.clear()
+        out = tmp_path / cfgp.stem
+        assert main(["solve", "--config", str(cfgp), "--out", str(out), "--method", "all"]) == 0
+        assert len(list(out.iterdir())) == 4 and digests == [canon]
+        meta = json.loads((out / "solve_meta.json").read_text())
+        assert meta["config_hash"] == config_hash
+
+
 def test_empty_output_times_refused(tmp_path, capsys):
     cfgp = write_config(tmp_path, output_times=[])
     out = tmp_path / "run"
@@ -697,6 +730,38 @@ def test_numpy_only_commands_never_load_scipy(tmp_path):
     )
     # the control: the stationary law's hyp2f1 does load scipy
     assert proc.stdout.splitlines()[-1] == "[] True"
+
+
+_OPENSSL_BOUNDARY = """
+import json, sys
+import selrec.cli
+from selrec.config import ExperimentConfig
+
+cfg_path, out = sys.argv[1], sys.argv[2]
+raw = ExperimentConfig.from_file(cfg_path).raw
+for argv in (["solve", "--method", "all"], ["ld"]):
+    assert selrec.cli.main([*argv, "--config", cfg_path, "--out", out]) == 0
+loaded = "_hashlib" in sys.modules
+assert selrec.cli.main(["dual", "--config", cfg_path, "--out", out]) == 0
+import hashlib
+canon = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+stamps = {json.loads(open(f"{out}/{name}").read())["config_hash"]
+          for name in ("solve_meta.json", "ld_rates.json", "dual_estimates.json")}
+print(loaded, "_hashlib" in sys.modules, "numpy.random" in sys.modules,
+      stamps == {hashlib.sha256(canon).hexdigest()})
+"""
+
+
+def test_commands_without_random_numbers_never_load_openssl(tmp_path):
+    # the config hash is the interpreter's built-in SHA-256: hashlib would map
+    # OpenSSL's libcrypto into solve and ld for that hash alone.  dual, the
+    # control, loads it through numpy.random.  Every stamp is hashlib's digest
+    cfgp = write_config(tmp_path, replicates=200)
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPENSSL_BOUNDARY, str(cfgp), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False True True True"
 
 
 def test_verify_duality_holds_on_product_initial_measure(tmp_path):

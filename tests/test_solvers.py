@@ -876,6 +876,21 @@ def test_residuals_merged_over_blocks_equal_one_whole_call(monkeypatch, block_by
             assert np.array_equal(res[key], value), (res["site"], key)
 
 
+def test_residuals_take_each_head_marginal_once(monkeypatch):
+    # a level of nonzero rate is built from the head marginal of the level
+    # below, and its residual reads that one rather than taking it again:
+    # per row block, each level takes two head marginals, its own and that
+    # of the level below (the same array at a zero rate, site 3)
+    cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
+    nu = random_prob(cfg.sites, spawn_stream(101, 48))
+    settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
+    heads = []
+    real_head = Split.head
+    monkeypatch.setattr(Split, "head", lambda split, V: heads.append(V.shape) or real_head(split, V))
+    ld_decay_residuals(cfg, nu, settings, ())
+    assert [shape for shape in heads if len(shape) == 2] == [(65, 16)] * 2 * (cfg.n - 1)
+
+
 def test_product_start_residuals_are_the_trapezoid_deviation():
     # configs/example.json's model on a product start, each site (0.3, 0.7):
     # the dynamics keep it a product, so every linkage deviation vanishes in
