@@ -112,7 +112,10 @@ def check(source: str, value, kind: str, bound: str | None = None):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
+    # SHA-256 hex digest of the config's canonical JSON: sorted keys, ","
+    # and ":" separators.  Taken once on loading; the parsed JSON, its 2^n
+    # initial entries included, is not kept
+    config_hash: str
     cfg: SiteConfig
     omega0: ProbabilityMeasure
     settings: SolverSettings
@@ -124,14 +127,6 @@ class ExperimentConfig:
     agreement_tol: float
     moran_population_sizes: list[int]
     moran_replicates: int
-
-    @property
-    def config_hash(self) -> str:
-        """SHA-256 hex digest of the config's canonical JSON: sorted keys,
-        "," and ":" separators.  Each call serialises and hashes the whole
-        config, a 2^n initial vector included."""
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return _sha256(canon.encode()).hexdigest()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -182,7 +177,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 spacing = settings.t_max / settings.grid_steps
                 raise ConfigError(f"output {exc} of spacing {spacing!r}") from None
-        return cls(raw=raw, cfg=cfg, omega0=omega0, settings=settings, **values)
+        canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        return cls(config_hash=_sha256(canon.encode()).hexdigest(),
+                   cfg=cfg, omega0=omega0, settings=settings, **values)
 
 
 def _parse_initial(cfg: SiteConfig, raw) -> ProbabilityMeasure:

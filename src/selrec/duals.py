@@ -33,6 +33,7 @@ from .partitions import WeightedPartition, decode, encode
 from .rng import spawn_stream
 from .sites import SiteConfig
 from .solvers import (
+    _DualityChain,
     _check_time,
     _integral,
     _renewal_density,
@@ -570,70 +571,6 @@ BLOCK = 4096
 _CHUNK_BYTES = 1 << 20
 
 
-class _MixtureEvaluator:
-    """Evaluation of a duality function at nu for groups of dual states.
-
-    A duality value is a product of independent block factors, one per
-    block of the interval partition that the started sites cut: the central
-    block around the selected site, and for each further started site the
-    interval from it outward up to the next started site on its arm.  The
-    factor of a block B is (1 - g)*b_B + g*d_B, the mixture of the block
-    marginals of the fit and unfit conditionals b and d of nu, with the
-    unfit weight g of the site that anchors B (the selected site's for the
-    central block).  The partition picture needs no evaluator of its own:
-    its blocks and weights are those of its `encode`d counts.
-    """
-
-    def __init__(self, cfg: SiteConfig, nu: Measure):
-        # unfit mass: an ancestor with k lines is unfit with chance y^k
-        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
-        self.b = cond_fit(nu, cfg.i_star).values
-        self.d = cond_unfit(nu, cfg.i_star).values
-        self.n, self.i_star = cfg.n, cfg.i_star
-        self.order = cfg.canonical_permutation()
-        # (lo, hi) -> the marginals of b and d on the sites lo..hi
-        self._marginals = {}
-
-    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (lo, hi)
-        if key not in self._marginals:
-            # site j is bit j - 1: the axes are sites above hi, lo..hi, below lo
-            shape = (1 << (self.n - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
-            self._marginals[key] = tuple(
-                v.reshape(shape).sum(axis=(0, 2)) for v in (self.b, self.d)
-            )
-        return self._marginals[key]
-
-    def value(self, active: tuple[int, ...], dweights: np.ndarray, out: np.ndarray) -> None:
-        """Write into out, a C-contiguous (states, 2^n) array, the duality
-        values of states sharing one started set, which opens with the
-        selected site; dweights holds one row of unfit weights per state,
-        one column per started site."""
-        weight = dict(zip(active, dweights.T))
-        # a started site on the left arm closes its block, one on the right
-        # arm opens it
-        cuts = [i + 1 if i < self.i_star else i for i in sorted(active) if i != self.i_star]
-        acc = None
-        for lo, nxt in zip([1, *cuts], [*cuts, self.n + 1]):
-            hi = nxt - 1
-            anchor = hi if hi < self.i_star else lo if lo > self.i_star else self.i_star
-            b, d = self._block(lo, hi)
-            g = weight[anchor][:, None]
-            # the last block ends at site n; its product goes straight to out
-            dest = out if hi == self.n else None
-            if acc is None:
-                acc = np.multiply(1.0 - g, b, out=dest)
-                acc += g * d
-                continue
-            factor = (1.0 - g) * b
-            factor += g * d
-            # the sites so far are the low bits of the product
-            shape = (len(g), factor.shape[1], acc.shape[1])
-            acc = np.multiply(factor[:, :, None], acc[:, None, :],
-                              out=None if dest is None else dest.reshape(shape))
-            acc = acc.reshape(len(g), -1)
-
-
 # The partition picture is the count picture under `encode`, so a partition
 # flavor draws the counts of its encoded start: two samplers, three flavors.
 _SAMPLERS = {"counts": "counts", "partition": "counts", "runtimes": "runtimes"}
@@ -661,7 +598,7 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed):
     else:
         _check_count_growth(cfg, start, t)
     f0 = fit_fraction(omega0, cfg.i_star)
-    mixer = _MixtureEvaluator(cfg, omega0)
+    mixer = _DualityChain(cfg, omega0)
     width = 1 << cfg.n
     per_chunk = min(BLOCK, replicates, max(1, _CHUNK_BYTES // (8 * width)))
     # bit i - 1 of a started-set key marks site i
@@ -691,9 +628,7 @@ def _dual_rows(cfg, omega0, start, t, replicates, seed):
                 turns = np.flatnonzero(keys[a + 1:stop] != keys[a:stop - 1]) + a + 1
                 edges = [a, *turns.tolist(), stop]
                 for p, q in zip(edges, edges[1:]):
-                    key = int(keys[p])
-                    active = tuple(i for i in mixer.order if key >> (i - 1) & 1)
-                    mixer.value(active, dweights[p:q, [i - 1 for i in active]], rows[p - a:q - a])
+                    mixer.value(int(keys[p]), dweights[p:q], rows[p - a:q - a])
                 yield lo + order[a:stop], rows
 
     return chunks()

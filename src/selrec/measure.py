@@ -244,24 +244,28 @@ def fitness_projection(nu: Measure, i_star: int) -> Measure:
     return Measure(nu.sites, nu.values * fit_mask(nu.sites, i_star))
 
 
+def _conditional(nu: Measure, keep: np.ndarray) -> Measure:
+    """nu restricted to the sequences in keep and renormalised; nu itself
+    when they carry no mass.  It scales by 1 / m, and divides by the mass m
+    only where 1 / m overflows, at a subnormal m."""
+    part = nu.values * keep
+    m = float(part.sum())
+    if m == 0.0:
+        return Measure(nu.sites, nu.values)
+    inv = 1.0 / m
+    return Measure(nu.sites, part / m if inv == np.inf else inv * part)
+
+
 def cond_fit(nu: Measure, i_star: int) -> Measure:
     """Distribution conditional on being fit; equals nu itself when the fit
     part carries no mass."""
-    part = fitness_projection(nu, i_star)
-    m = part.mass()
-    if m == 0.0:
-        return Measure(nu.sites, nu.values)
-    return part.scale(1.0 / m)
+    return _conditional(nu, fit_mask(nu.sites, i_star))
 
 
 def cond_unfit(nu: Measure, i_star: int) -> Measure:
     """Distribution conditional on being unfit; equals nu itself when the
     unfit part carries no mass."""
-    part = Measure(nu.sites, nu.values * ~fit_mask(nu.sites, i_star))
-    m = part.mass()
-    if m == 0.0:
-        return Measure(nu.sites, nu.values)
-    return part.scale(1.0 / m)
+    return _conditional(nu, ~fit_mask(nu.sites, i_star))
 
 
 # -- recombination ----------------------------------------------------------

@@ -201,7 +201,8 @@ def lln_convergence(
 ) -> LLNReport:
     """Mean l1 distance between the empirical measure at time t and the
     deterministic solution, per population size, with a fitted log-log
-    slope (None unless there are two distinct sizes)."""
+    slope (None unless there are two distinct sizes and every mean distance
+    is positive)."""
     _check_time(t)
     if replicates < 2:
         raise ValueError("need at least two replicates")
@@ -220,9 +221,10 @@ def lln_convergence(
             dist[a, rep] = l1_distance(empirical_measure(cfg, pop), target)
     mean = dist.mean(axis=1)
     stderr = dist.std(axis=1, ddof=1) / np.sqrt(replicates)
-    # a slope needs two distinct sizes, as ld's fitted rate needs two times
+    # a slope needs two distinct sizes, as ld's fitted rate needs two times,
+    # and a positive mean distance at each: a one-type start is met exactly
     slope = None
-    if len(set(sizes)) >= 2:
+    if len(set(sizes)) >= 2 and (mean > 0.0).all():
         slope = float(np.polyfit(np.log(sizes), np.log(mean), 1)[0])
     return LLNReport(
         population_sizes=sizes,

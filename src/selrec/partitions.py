@@ -62,10 +62,23 @@ class IntervalPartition:
 def anchor_site(block, i_star: int) -> int:
     """Site of the block closest to the selected site (the block's minimum
     in the distance order)."""
-    lo, hi = min(block), max(block)
-    if lo <= i_star <= hi:
-        return i_star
-    return lo if lo > i_star else hi
+    return _anchor(min(block), max(block), i_star)
+
+
+def _anchor(lo: int, hi: int, i_star: int) -> int:
+    return i_star if lo <= i_star <= hi else lo if lo > i_star else hi
+
+
+def _blocks(started: int, n: int, i_star: int):
+    """(lo, hi, anchor) of each block, left to right, of the interval
+    partition of 1..n that the started sites cut; bit i - 1 of started
+    marks site i.  A started site on the left arm closes its block, one on
+    the right arm opens it, so each block but the central one is anchored
+    at a started site."""
+    cuts = [i + 1 if i < i_star else i
+            for i in range(1, n + 1) if i != i_star and started >> (i - 1) & 1]
+    for lo, nxt in zip([1, *cuts], [*cuts, n + 1]):
+        yield lo, nxt - 1, _anchor(lo, nxt - 1, i_star)
 
 
 @dataclass(frozen=True)
@@ -112,15 +125,7 @@ def decode(m, cfg: SiteConfig) -> WeightedPartition:
         raise ValueError("entries must be nonnegative")
     if m[cfg.i_star - 1] <= 0:
         raise ValueError("the selected site must carry a positive entry")
-    cuts = []
-    for i in range(cfg.i_star + 1, cfg.n + 1):
-        if m[i - 1] > 0:
-            cuts.append(i)
-    for i in range(1, cfg.i_star):
-        if m[i - 1] > 0:
-            cuts.append(i + 1)
-    part = IntervalPartition.from_cuts(cfg.n, cuts)
-    weights = tuple(
-        int(m[anchor_site(block, cfg.i_star) - 1]) for block in part.blocks
-    )
-    return WeightedPartition(part, weights)
+    started = sum(1 << j for j, v in enumerate(m.tolist()) if v > 0)
+    blocks = list(_blocks(started, cfg.n, cfg.i_star))
+    part = IntervalPartition(tuple(tuple(range(lo, hi + 1)) for lo, hi, _ in blocks))
+    return WeightedPartition(part, tuple(int(m[a - 1]) for _, _, a in blocks))

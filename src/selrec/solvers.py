@@ -33,6 +33,7 @@ from .measure import (
     fitness_projection,
     recombinator,
 )
+from .partitions import _blocks
 from .sites import SiteConfig
 
 MAX_HALVINGS = 20
@@ -620,31 +621,45 @@ def _started_mass_pgf(s, rho, r, t, x):
 
 
 class _DualityChain:
-    """The overwrite chain that builds every duality value at a measure nu.
+    """Every duality value at a measure nu: the mixture (1 - g)*b + g*d of
+    the fit and unfit conditionals b and d of nu, laid over the interval
+    partition that the started sites cut, with one cache of the interval
+    marginals of b and d.
 
-    A value starts from the mixture (1 - g)*b + g*d of the fit and unfit
-    conditionals b and d of nu.  Then, outward from the selected site, each
+    The closed form and the long-time limit build a value as a chain: the
+    mixture on all sites, then, outward from the selected site, each
     started site i overwrites the tail of the value so far with a mixture
-    wb*b_T + wd*d_T of the tail marginals of b and d.  The closed form takes
-    expected weights and the long-time limit stationary ones.
+    wb*b_T + wd*d_T of the tail marginals, with expected or stationary
+    weights.  The Monte Carlo builds the values of sampled states as block
+    products (value).
     """
 
     def __init__(self, cfg: SiteConfig, nu: Measure):
+        f0 = fit_fraction(nu, cfg.i_star)
         # unfit mass: an ancestor with k lines is unfit with chance y^k
-        self.y = 1.0 - fit_fraction(nu, cfg.i_star)
-        b = cond_fit(nu, cfg.i_star)
-        d = cond_unfit(nu, cfg.i_star)
-        self.b, self.d = b.values, d.values
+        self.y = 1.0 - f0
+        if self.y == 1.0 and f0 > 0.0:
+            # y^k would keep every ancestor unfit, and the fit class would
+            # never grow
+            raise ValueError(f"the fit fraction {f0!r} is lost in the unfit "
+                             "mass 1 - f0, which the duality values are built from")
+        self.b = cond_fit(nu, cfg.i_star).values
+        self.d = cond_unfit(nu, cfg.i_star).values
+        self.n, self.i_star = cfg.n, cfg.i_star
         self.order = cfg.canonical_permutation()
-        # per crossover site: its split and the tail marginals of b and d
-        self._tails = {}
-        for i in self.order[1:]:
-            head, tail = cfg.head_tail(i)
-            self._tails[i] = (
-                Split(cfg.sites, head, tail),
-                b.project(tail).values,
-                d.project(tail).values,
+        self._splits = {i: Split(cfg.sites, *cfg.head_tail(i)) for i in self.order[1:]}
+        # (lo, hi) -> the marginals of b and d on the sites lo..hi
+        self._marginals = {}
+
+    def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (lo, hi)
+        if key not in self._marginals:
+            # site j is bit j - 1: the axes are sites above hi, lo..hi, below lo
+            shape = (1 << (self.n - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
+            self._marginals[key] = tuple(
+                v.reshape(shape).sum(axis=(0, 2)) for v in (self.b, self.d)
             )
+        return self._marginals[key]
 
     def start(self, g):
         """(1 - g)*b + g*d on all sites."""
@@ -653,8 +668,35 @@ class _DualityChain:
     def overwrite(self, out: np.ndarray, i: int, wb, wd) -> np.ndarray:
         """Each row of out with its tail at site i replaced: the head
         marginal of the row times wb*b_T + wd*d_T."""
-        split, b, d = self._tails[i]
+        b, d = self._block(i, self.n) if i > self.i_star else self._block(1, i)
+        split = self._splits[i]
         return split.product(split.head(out), wb * b + wd * d)
+
+    def value(self, started: int, dweights: np.ndarray, out: np.ndarray) -> None:
+        """Write into out, a C-contiguous (states, 2^n) array, the duality
+        values of states that share one started set, the bitmask started
+        (bit i - 1 marks site i; the selected site is always in it).
+        dweights holds one row of unfit weights per state, one column per
+        site.  Each block B of the partition contributes the factor
+        (1 - g)*b_B + g*d_B with the weight g of the site that anchors it,
+        and the product of the factors, in site order, is the value."""
+        acc = None
+        for lo, hi, anchor in _blocks(started, self.n, self.i_star):
+            b, d = self._block(lo, hi)
+            g = dweights[:, anchor - 1, None]
+            # the last block ends at site n; its product goes straight to out
+            dest = out if hi == self.n else None
+            if acc is None:
+                acc = np.multiply(1.0 - g, b, out=dest)
+                acc += g * d
+                continue
+            factor = (1.0 - g) * b
+            factor += g * d
+            # the sites so far are the low bits of the product
+            shape = (len(g), factor.shape[1], acc.shape[1])
+            acc = np.multiply(factor[:, :, None], acc[:, None, :],
+                              out=None if dest is None else dest.reshape(shape))
+            acc = acc.reshape(len(g), -1)
 
 
 def semigroup_solve(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMeasure:
@@ -733,8 +775,10 @@ def asymptotic_limit(cfg: SiteConfig, omega0: Measure) -> ProbabilityMeasure:
     chain = _DualityChain(cfg, omega0)
     resets = cfg.resetting_rates()
     # every site has started, and each overwrite leaves only the site
-    # itself of its tail: the limit is the product of one-site marginals
-    out = chain.start(1.0 if chain.y == 0.0 else 0.0)
+    # itself of its tail: the limit is the product of one-site marginals.
+    # The selected site's count grows without bound, so its ancestor is fit
+    # unless no fit mass exists, and then b is nu itself
+    out = chain.start(0.0)
     for i in chain.order[1:]:
         gamma = stationary_count_pgf(float(resets[i - 1]) / cfg.s, chain.y)
         out = chain.overwrite(out, i, 1.0 - gamma, gamma)
@@ -751,7 +795,10 @@ def equilibration_time(cfg: SiteConfig, omega0: Measure, eps: float = 1e-4) -> f
     T = max((log_eps / r for r in rates if r > 0), default=0.0)
     f0 = fit_fraction(omega0, cfg.i_star)
     if cfg.s > 0.0 and 0.0 < f0 < 1.0:
-        T = max(T, (log_eps + max(0.0, math.log((1.0 - f0) / f0))) / cfg.s)
+        ratio = (1.0 - f0) / f0
+        # at a subnormal f0 the ratio overflows, and its logarithm does not
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(1.0 - f0) - math.log(f0)
+        T = max(T, (log_eps + max(0.0, log_ratio)) / cfg.s)
     return T
 
 

@@ -244,6 +244,57 @@ def test_config_hash_is_the_sha256_of_the_canonical_json_taken_once(tmp_path, mo
         assert meta["config_hash"] == config_hash
 
 
+def test_subnormal_class_mass(tmp_path, capsys):
+    # configs/example.json started from two classes, of masses 1 and 1e-310:
+    # 1 / m overflows in the conditional of the light class.  Index 0 is fit
+    # (site 2 of type 0), index 2 unfit
+    example = json.loads((Path(__file__).resolve().parent.parent / "configs" / "example.json").read_text())
+
+    def config(name, fit, unfit):
+        vector = [0.0] * 8
+        vector[0], vector[2] = fit, unfit
+        cfgp = tmp_path / f"{name}.json"
+        cfgp.write_text(json.dumps({**example, "initial": {"vector": vector}, "replicates": 2000}))
+        return cfgp
+
+    # a light unfit class: every command runs, and the fit class is the limit
+    cfgp = config("light_unfit", 1.0, 1e-310)
+    for command in ("solve", "dual", "ld", "asymptotics", "moran"):
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / command)]) == 0, command
+    limit = json.loads((tmp_path / "asymptotics" / "asymptotics_limit.json").read_text())
+    assert limit["limit"]["values"] == [1.0] + [0.0] * 7
+    assert limit["final_distance"] < 1e-3
+    # verify fails ld_decay_identity alone, whose two sides are rounding dust
+    assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "verify")]) == 3
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["ld_decay_identity"]
+
+    # a light fit class is lost in the unfit mass 1 - f0 = 1.0, which would
+    # keep the fit class at 0 for all t: every command refuses the start
+    cfgp = config("light_fit", 1e-310, 1.0)
+    capsys.readouterr()
+    for command in ("solve", "dual", "ld", "asymptotics", "moran", "verify"):
+        out = tmp_path / f"refused_{command}"
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 1, command
+        assert "fit fraction 1e-310 is lost" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_moran_one_type_start_writes_a_null_slope(tmp_path):
+    # every individual carries the one type, which the solution keeps, so
+    # every distance is 0 and a log-log slope has nothing to fit: JSON null,
+    # not NaN
+    cfgp = write_config(tmp_path, initial={"vector": [0.0, 0.0, 1.0, 0.0]})
+    out = tmp_path / "run"
+    assert main(["moran", "--config", str(cfgp), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"moran_lln.json holds {name}")
+
+    payload = json.loads((out / "moran_lln.json").read_text(), parse_constant=refuse)
+    assert payload["mean_distance"] == [0.0, 0.0] and payload["slope"] is None
+
+
 def test_empty_output_times_refused(tmp_path, capsys):
     cfgp = write_config(tmp_path, output_times=[])
     out = tmp_path / "run"
@@ -735,10 +786,9 @@ def test_numpy_only_commands_never_load_scipy(tmp_path):
 _OPENSSL_BOUNDARY = """
 import json, sys
 import selrec.cli
-from selrec.config import ExperimentConfig
 
 cfg_path, out = sys.argv[1], sys.argv[2]
-raw = ExperimentConfig.from_file(cfg_path).raw
+raw = json.load(open(cfg_path))
 for argv in (["solve", "--method", "all"], ["ld"]):
     assert selrec.cli.main([*argv, "--config", cfg_path, "--out", out]) == 0
 loaded = "_hashlib" in sys.modules

@@ -1048,6 +1048,32 @@ def test_dual_rows_meet_the_overwrite_chain(n, i_star):
         assert gap.max() <= 1e-14, (flavor, gap.max())
 
 
+@pytest.mark.parametrize("i_star", range(1, 7))
+def test_every_started_set_meets_the_overwrite_chain(i_star):
+    # every started set that holds the selected site, at n = 6: its block
+    # products against the overwrite chain on random weights, and the
+    # partition that a count vector with that started set cuts goes
+    # through decode and encode unchanged
+    n, rows = 6, 3
+    rng = spawn_stream(379, i_star)
+    cfg = SiteConfig(n=n, i_star=i_star, s=0.9,
+                     rho=tuple(0.0 if i == i_star else 0.7 for i in range(1, n + 1)))
+    nu = random_prob(cfg.sites, rng)
+    chain = _DualityChain(cfg, nu)
+    sets = [k for k in range(1 << n) if k >> (i_star - 1) & 1]
+    assert len(sets) == 1 << (n - 1)
+    for started in sets:
+        on = np.array([started >> j & 1 for j in range(n)], dtype=bool)
+        dweights = rng.uniform(size=(rows, n))
+        out = np.empty((rows, 1 << n))
+        chain.value(started, dweights, out)
+        ref = _overwrite_chain_rows(cfg, nu, np.tile(on, (rows, 1)), dweights)
+        gap = np.abs(out - ref).sum(axis=1)
+        assert gap.max() <= 1e-14, (started, gap.max())
+        m = on * rng.integers(1, 5, size=n)
+        assert np.array_equal(encode(decode(m, cfg), cfg), m), started
+
+
 # -- duality checks against the forward flow -----------------------------------------
 
 

@@ -952,6 +952,25 @@ def test_asymptotic_limit_matches_long_run():
         assert l1_distance(traj.final(), limit) < 1e-3, cfg
 
 
+def test_a_fit_fraction_lost_in_one_minus_f0_is_refused():
+    # 1 - 1e-20 is 1.0, so y^k would keep every ancestor unfit and the fit
+    # class at 0 for all t, where the selection flow lets it take over
+    cfg = SiteConfig(n=2, i_star=1, s=1.0, rho=(0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, [1e-20, 1.0, 0.0, 0.0])
+    assert fit_fraction(selection_flow(cfg, nu, 60.0), 1) > 0.8
+    for solve in (lambda: semigroup_solve(cfg, nu, 60.0), lambda: asymptotic_limit(cfg, nu)):
+        with pytest.raises(ValueError, match="fit fraction 1e-20 is lost"):
+            solve()
+
+
+def test_equilibration_time_at_a_subnormal_fit_fraction():
+    # the odds (1 - f0) / f0 overflow; their logarithm is about 713.8
+    cfg = SiteConfig(n=2, i_star=1, s=2.0, rho=(0.0, 0.5))
+    nu = ProbabilityMeasure(cfg.sites, [1e-310, 1.0, 0.0, 0.0])
+    T = equilibration_time(cfg, nu, eps=1e-4)
+    assert T == pytest.approx((math.log(1e4) - math.log(1e-310)) / 2.0, rel=1e-14)
+
+
 def test_asymptotic_limit_is_the_product_of_one_site_mixtures():
     # each site's marginal is (1 - gamma_i)*b + gamma_i*d, with gamma_i the
     # stationary pgf at the unfit mass (0 at the selected site), and the
