@@ -91,18 +91,27 @@ def _check_out(out: Path) -> None:
 
 def _write_outputs(out: Path, exp: ExperimentConfig, files: dict) -> None:
     """Write every file of a run under out, each stamped with the config
-    hash and the package version."""
+    hash and the package version.  Every JSON file is serialised first, and
+    one that holds a NaN or an infinity, which JSON has no token for, is
+    refused as a numerical failure before out is made."""
     config_hash = exp.config_hash
     provenance = f"# selrec {__version__} config {config_hash}\n"
+    texts = {}
+    for name, payload in files.items():
+        if isinstance(payload, dict):
+            stamped = {**payload, "config_hash": config_hash, "version": __version__}
+            try:
+                texts[name] = json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise SolverError(f"{name} holds a non-finite number: {exc}") from exc
     path = out
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, payload in files.items():
             path = out / name
             with path.open("w") as fh:
-                if isinstance(payload, dict):
-                    stamped = {**payload, "config_hash": config_hash, "version": __version__}
-                    fh.write(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+                if name in texts:
+                    fh.write(texts[name])
                 elif isinstance(payload, Trajectory):
                     fh.write(provenance)
                     fh.write(f"# sites {','.join(str(a) for a in payload.sites)}\n")

@@ -314,16 +314,10 @@ class Split:
         """Marginal of every row on the tail sites."""
         return np.add.reduce(self._blocks(V), axis=-1 if self.head_low else -2)
 
-    def product(
-        self, head: np.ndarray, tail: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Row-wise product state of head and tail marginals, written into
-        out (C-contiguous rows) when it is given."""
+    def product(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Row-wise product state of head and tail marginals."""
         lo, hi = (head, tail) if self.head_low else (tail, head)
-        if out is None:
-            return (hi[..., :, None] * lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
-        np.multiply(hi[..., :, None], lo[..., None, :], out=self._blocks(out))
-        return out
+        return (hi[..., :, None] * lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
 
 
 def add_cut_products(out: np.ndarray, v: np.ndarray, cuts: dict[int, float]) -> None:

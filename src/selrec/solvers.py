@@ -326,11 +326,17 @@ def ld_decay_residuals(
     *,
     permutation: Sequence[int] | None = None,
 ) -> tuple[Trajectory, list[dict]]:
-    """recursive_solve's solution at times and the ld_decay_residual of
-    every level k = 1..n-1 on the whole grid, from one pass of the same
-    engine: every grid row goes through the levels one row block at a
-    time, and each residual is taken on the block just below and just
-    above its level, so no level is ever held whole."""
+    """recursive_solve's solution at times and the residual of the decay
+    identity D_k(t) = exp(-rho_i t) D_{k-1}(t) for every level k = 1..n-1
+    on the whole grid, D being the product deviation at the cut of the
+    site i that level k adds.  Each residual is a dict: site, rate,
+    max_abs_error (the largest l1 norm over the rows of D_k -
+    exp(-rho_i t) D_{k-1}), max_relative_error (that over the largest
+    norm of D_k), and the per-row norms lhs_norms of D_k and below_norms
+    of D_{k-1}.  One pass of the same engine: every grid row goes through
+    the levels one row block at a time, and each residual is taken on the
+    block just below and just above its level, so no level is ever held
+    whole."""
     residuals = []
     return _walk_levels(cfg, omega0, settings, times, permutation, residuals), residuals
 
@@ -339,7 +345,7 @@ def _walk_levels(cfg, omega0, settings, times, permutation, residuals=None) -> T
     """The recursion's one entry point.  Builds the last level at the rows
     asked for and the end point (_level_rows), passing every grid row
     through the levels when residuals is given, to which it then appends
-    the ld_decay_residual of each level above the first.  Then checks the
+    the residual of each level above the first.  Then checks the
     end point against the closed form and returns the rows at times."""
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
@@ -388,8 +394,9 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
     O(n * grid) numbers.  The second takes the rows walked (ascending, a
     superset of held) one block at a time through level 0 and then every
     site, as product + d * level, a row's update reading that row's columns
-    alone.  With residuals, each site's ld_decay_residual is taken on every
-    block just below and above its level, and the blocks' are merged."""
+    alone.  With residuals, _deviation_norms takes each site's per-row
+    norms on every block just below and above its level, and each site's
+    residual is built once from the blocks' norms."""
     v0 = omega0.values
     fv = fitness_projection(omega0, cfg.i_star).values
     rest = v0 - fv
@@ -403,20 +410,20 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
     steps = []
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
+        split = Split(cfg.sites, *cfg.head_tail(i))
+        decay = np.exp(-rate * times)
         if rate == 0.0:
-            steps.append((i, None))
+            steps.append((i, split, decay, None))
             continue
         arm = 1 if i > cfg.i_star else -1
-        split = Split(cfg.sites, *cfg.head_tail(i))
         fv_t, rest_t = split.tail(fv), split.tail(rest)
-        decay = np.exp(-rate * times)
         integ = _cumulative_trapezoid((rate * decay)[:, None] * coef[arm], times)
         # decay + mass(I)
         grow = decay + integ[:, 0] * float(fv_t.sum()) + integ[:, 1] * float(rest_t.sum())
         coef[arm] = decay[:, None] * coef[arm] + mass[:, None] * integ
         coef[-arm] = grow[:, None] * coef[-arm]
         mass = grow * mass
-        steps.append((i, (split, decay, integ, fv_t, rest_t)))
+        steps.append((i, split, decay, (integ, fv_t, rest_t)))
     # the second pass reads only the columns in steps; the rest would stay
     # live beside its row blocks
     del coef, mass
@@ -425,34 +432,60 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
     keep = np.isin(walked, held)
     dest = np.searchsorted(held, walked)
     out = np.empty((held.size, v0.size))
-    blocks = [[] for _ in steps]
+    norms = [[] for _ in steps]
     for r in _row_blocks(walked.size, v0.size):
         at = walked[r]
         level = e[at, None] * fv
         level += rest
         level /= den[at, None]
-        for (i, step), parts in zip(steps, blocks):
+        for (i, split, decay, update), parts in zip(steps, norms):
             below, below_head = level, None
-            if step is not None:
-                split, decay, integ, fv_t, rest_t = step
+            if update is not None:
+                integ, fv_t, rest_t = update
                 c = integ[at]
                 below_head = split.head(below)
                 level = split.product(below_head, c[:, :1] * fv_t + c[:, 1:] * rest_t)
                 level += decay[at, None] * below
             if residuals is not None:
-                parts.append(ld_decay_residual(cfg, i, times[at], level, below,
-                                               below_head=below_head))
+                parts.append(_deviation_norms(split, decay[at], level, below, below_head))
         out[dest[r][keep[r]]] = level[keep[r]]
     if residuals is not None:
-        # a row's norms are its own and a maximum does not depend on the
-        # grouping: the bits of one call on the whole grid
-        residuals.extend(
-            _residual(i, cfg.rho_of(i), max(part["max_abs_error"] for part in parts),
-                      np.concatenate([part["lhs_norms"] for part in parts]),
-                      np.concatenate([part["below_norms"] for part in parts]))
-            for (i, _), parts in zip(steps, blocks)
-        )
+        for (i, *_), parts in zip(steps, norms):
+            # a row's norms are its own, so the blocks' concatenation holds
+            # the bits of the whole grid's rows taken at once
+            err, lhs_norms, below_norms = (np.concatenate(part) for part in zip(*parts))
+            worst = float(err.max())
+            residuals.append({
+                "site": i,
+                "rate": cfg.rho_of(i),
+                "max_abs_error": worst,
+                "max_relative_error": worst / max(float(lhs_norms.max()), 1e-30),
+                "lhs_norms": lhs_norms,
+                "below_norms": below_norms,
+            })
     return out
+
+
+def _deviation_norms(split, decay_rows, level, below, below_head):
+    """The residual of the decay identity at split's cut, row by row: the
+    l1 norms of D(level) - decay_rows * D(below), of D(level) and of
+    D(below), with D(W) = W - head(W) x tail(W) the product deviation of
+    the rows of W.  below_head is below's head marginal as the level's
+    update took it, or None (a zero-rate site) to take it here.  Neither
+    level nor below is written."""
+
+    def deviation(W, head):
+        out = split.product(split.head(W) if head is None else head, split.tail(W))
+        return np.subtract(W, out, out=out)
+
+    # the same operations as lhs - decay * below and its norms, on two
+    # buffers: each in-place step gives the bits of its out-of-place form
+    rhs = deviation(below, below_head)
+    below_norms = np.abs(rhs).sum(axis=1)
+    rhs *= decay_rows[:, None]
+    lhs = deviation(level, None)
+    diff = np.subtract(lhs, rhs, out=rhs)
+    return np.abs(diff, out=diff).sum(axis=1), np.abs(lhs, out=lhs).sum(axis=1), below_norms
 
 
 def _cumulative_trapezoid(y, times):
@@ -483,62 +516,6 @@ def linkage_disequilibrium(cfg: SiteConfig, i: int, nu: Measure) -> Measure:
         raise ValueError(f"site {i} is not a crossover site of the model")
     head, tail = cfg.head_tail(i)
     return nu.sub(recombinator(nu, head, tail))
-
-
-def ld_decay_residual(
-    cfg: SiteConfig,
-    i: int,
-    times: np.ndarray,
-    level: np.ndarray,
-    below: np.ndarray,
-    *,
-    below_head: np.ndarray | None = None,
-) -> dict:
-    """Compare the product deviation at site i's cut of the level that adds
-    site i with the exponentially damped deviation of the level below, at
-    every one of the times.  level and below hold one row per time; neither
-    is written.  Every norm is a row's own, so ld_decay_residuals takes it
-    one row block at a time and merges the blocks to the same bits.
-
-    below_head, when given, is below's marginal on the head of site i's cut,
-    one row per time, as the recursion has already taken it to build level;
-    None takes it here."""
-    rate = cfg.rho_of(i)
-    split = Split(cfg.sites, *cfg.head_tail(i))
-    decay = np.exp(-rate * times)
-
-    def deviation(W, head=None):
-        out = split.product(split.head(W) if head is None else head, split.tail(W))
-        return np.subtract(W, out, out=out)
-
-    def row_norms(r):
-        # the same operations as lhs - decay * below and its norms, on two
-        # buffers: each in-place step gives the bits of its out-of-place form
-        rhs = deviation(below[r], None if below_head is None else below_head[r])
-        below_norms = np.abs(rhs).sum(axis=1)
-        rhs *= decay[r, None]
-        lhs = deviation(level[r])
-        diff = np.subtract(lhs, rhs, out=rhs)
-        return np.abs(diff, out=diff).sum(axis=1), np.abs(lhs, out=lhs).sum(axis=1), below_norms
-
-    # one block of rows at a time: a row's sum does not depend on the rows
-    # summed with it
-    parts = [row_norms(r) for r in _row_blocks(*level.shape)]
-    err, norms, below_norms = (np.concatenate(part) for part in zip(*parts))
-    return _residual(i, rate, float(err.max()), norms, below_norms)
-
-
-def _residual(i: int, rate: float, err: float, norms, below_norms) -> dict:
-    """An ld_decay_residual from its largest error and its per-row norms."""
-    scale = max(float(norms.max()), 1e-30)
-    return {
-        "site": i,
-        "rate": rate,
-        "max_abs_error": err,
-        "max_relative_error": err / scale,
-        "lhs_norms": norms,
-        "below_norms": below_norms,
-    }
 
 
 # -- closed semigroup solution ------------------------------------------------

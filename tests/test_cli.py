@@ -295,6 +295,18 @@ def test_moran_one_type_start_writes_a_null_slope(tmp_path):
     assert payload["mean_distance"] == [0.0, 0.0] and payload["slope"] is None
 
 
+def test_non_finite_json_number_exits_two_writing_nothing(tmp_path, monkeypatch, capsys):
+    # a NaN planted in asymptotics' final distance: JSON has no token for
+    # it, so the run is a numerical failure before --out is made
+    monkeypatch.setattr("selrec.cli.l1_distance", lambda *args: float("nan"))
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["asymptotics", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "asymptotics_limit.json holds a non-finite number" in err, err
+    assert not out.exists()
+
+
 def test_empty_output_times_refused(tmp_path, capsys):
     cfgp = write_config(tmp_path, output_times=[])
     out = tmp_path / "run"

@@ -26,7 +26,6 @@ from selrec import (
     fit_fraction,
     integrate_ode,
     l1_distance,
-    ld_decay_residual,
     ld_decay_residuals,
     linkage_disequilibrium,
     logistic_fit_fraction,
@@ -479,7 +478,8 @@ def test_recursion_levels_degenerate_without_rate():
 
 
 def _residual_out_of_place(cfg, i, times, level, below):
-    # ld_decay_residual's formulas with a fresh array for every step
+    # the residual of ld_decay_residuals at site i on the rows of level and
+    # the level below, with a fresh array for every step
     rate = cfg.rho_of(i)
     split = Split(cfg.sites, *cfg.head_tail(i))
 
@@ -523,13 +523,7 @@ def test_streamed_walk_equals_the_level_list_bit_for_bit():
         assert np.array_equal(rec.times, times) and rec.sites == cfg.sites
         assert len(residuals) == cfg.n - 1
         for k, got in enumerate(residuals, start=1):
-            args = (cfg, perm[k], times, levels[k], levels[k - 1])
-            expect = ld_decay_residual(*args)
-            # the in-place buffers give the bits of the out-of-place formulas
-            plain = _residual_out_of_place(*args)
-            assert expect.keys() == plain.keys()
-            for key, value in plain.items():
-                assert np.array_equal(expect[key], value), (cfg, k, key)
+            expect = _residual_out_of_place(cfg, perm[k], times, levels[k], levels[k - 1])
             assert got.keys() == expect.keys()
             assert (got["site"], got["rate"]) == (expect["site"], expect["rate"])
             for key in ("lhs_norms", "below_norms"):
@@ -743,8 +737,8 @@ def test_recursion_walks_the_levels_once(monkeypatch):
     assert len(walks) == 1 and blocks == [(513, 8)]
     blocks.clear()
     ld_decay_residuals(cfg, nu, settings)
-    # and ld_decay_residual's own split of each of the two residual blocks
-    assert len(walks) == 2 and blocks == [(513, 8)] + [(513, 8)] * 2
+    # the residuals are taken on the engine's own blocks, not split again
+    assert len(walks) == 2 and blocks == [(513, 8)]
 
 
 # -- semigroup solution -------------------------------------------------------------
@@ -855,22 +849,25 @@ def test_ld_exponential_decay_identity():
 
 @pytest.mark.parametrize("block_bytes", [1, _BLOCK_BYTES], ids=["one-row", "default"])
 def test_residuals_merged_over_blocks_equal_one_whole_call(monkeypatch, block_bytes):
-    # the engine calls ld_decay_residual on every row block, just below and
-    # above each level, and merges the calls: the bits of one call on the
-    # whole grid's rows; site 3 has rate zero
+    # the engine takes _deviation_norms on every row block, just below and
+    # above each level, and builds each site's residual from the blocks'
+    # norms: the bits of the out-of-place formulas on the whole grid's
+    # rows; site 3 has rate zero
     monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", block_bytes)
     cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
     nu = random_prob(cfg.sites, spawn_stream(101, 48))
     settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
-    calls = count_calls(monkeypatch, "ld_decay_residual")
+    calls = count_calls(monkeypatch, "_deviation_norms")
     _, residuals = ld_decay_residuals(cfg, nu, settings, ())
     blocks = settings.grid_steps + 1 if block_bytes == 1 else 1
     assert len(calls) == blocks * len(residuals) == blocks * (cfg.n - 1)
-    for res in residuals:
-        mine = [args for args in calls if args[1] == res["site"]]
-        times, level, below = (np.concatenate([args[k] for args in mine]) for k in (2, 3, 4))
-        assert np.array_equal(times, settings.grid())
-        expect = ld_decay_residual(cfg, res["site"], times, level, below)
+    times = settings.grid()
+    for k, res in enumerate(residuals):
+        # one call per site in each block, the blocks in row order
+        mine = calls[k::len(residuals)]
+        decay, level, below = (np.concatenate([args[j] for args in mine]) for j in (1, 2, 3))
+        assert np.array_equal(decay, np.exp(-res["rate"] * times))
+        expect = _residual_out_of_place(cfg, res["site"], times, level, below)
         assert res.keys() == expect.keys()
         for key, value in expect.items():
             assert np.array_equal(res[key], value), (res["site"], key)
@@ -891,6 +888,29 @@ def test_residuals_take_each_head_marginal_once(monkeypatch):
     assert [shape for shape in heads if len(shape) == 2] == [(65, 16)] * 2 * (cfg.n - 1)
 
 
+def test_each_site_is_split_once_per_walk(monkeypatch):
+    # each crossover site's Split (and decay column) is built once, in the
+    # engine's first pass, zero-rate site 3 included: the residuals over
+    # one-row blocks build as many as over one default block, and no more
+    # than the solve alone
+    cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
+    nu = random_prob(cfg.sites, spawn_stream(101, 48))
+    settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
+    real_init = Split.__init__
+    made = []
+    monkeypatch.setattr(Split, "__init__",
+                        lambda split, *args: made.append(args) or real_init(split, *args))
+
+    def splits(solver, block_bytes):
+        monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", block_bytes)
+        made.clear()
+        solver(cfg, nu, settings, ())
+        return len(made)
+
+    count = splits(ld_decay_residuals, _BLOCK_BYTES)
+    assert splits(ld_decay_residuals, 1) == count == splits(recursive_solve, _BLOCK_BYTES)
+
+
 def test_product_start_residuals_are_the_trapezoid_deviation():
     # configs/example.json's model on a product start, each site (0.3, 0.7):
     # the dynamics keep it a product, so every linkage deviation vanishes in
@@ -904,7 +924,7 @@ def test_product_start_residuals_are_the_trapezoid_deviation():
     _, residuals = ld_decay_residuals(cfg, nu, settings, ())
     assert [res["site"] for res in residuals] == [1, 3]
     for k, got in enumerate(residuals, start=1):
-        expect = ld_decay_residual(cfg, perm[k], times, levels[k], levels[k - 1])
+        expect = _residual_out_of_place(cfg, perm[k], times, levels[k], levels[k - 1])
         assert abs(got["max_abs_error"] - expect["max_abs_error"]) <= 1e-14
         assert np.abs(got["lhs_norms"] - expect["lhs_norms"]).max() <= 1e-14
     assert [round(res["max_abs_error"], 9) for res in residuals] == [1.53e-7, 1.23e-7]
