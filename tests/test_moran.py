@@ -20,6 +20,8 @@ from selrec import (
 )
 from selrec.moran import _EVENT_CHUNK
 
+from conftest import traced_peak
+
 
 def _moran_events_reference(
     cfg: SiteConfig,
@@ -254,3 +256,28 @@ def test_batched_events_match_event_loop(case):
     assert pop.counters == {} and pop.clock == 0.0
     if case == len(ORACLE_CASES) - 1:
         assert len(got.counters["_event_log"]) > 2 * _EVENT_CHUNK
+
+
+# the moran-n4 benchmark's model shape: n=4, s=0.8, crossover rates summing
+# to 1.8, so N = 10**5 over t = 1 draws about 3.6e5 events, six chunks
+MORAN_N4 = SiteConfig(n=4, i_star=2, s=0.8, rho=(0.5, 0.0, 0.6, 0.7))
+MORAN_N4_START = ProbabilityMeasure(
+    MORAN_N4.sites, np.random.default_rng(4).dirichlet(np.ones(16))
+)
+
+
+def test_sample_population_holds_one_population():
+    # the population is 0.8 MB of int64; drawing it whole held a uniform
+    # and an index array of the same size besides, and then a copy
+    peak = traced_peak(
+        lambda: sample_population(MORAN_N4, 10**5, MORAN_N4_START, spawn_stream(50, 0))
+    )
+    assert peak <= 1.0e6
+
+
+def test_moran_simulate_holds_one_chunk():
+    # the population copy (0.8 MB), the first-write array (0.4 MB) and one
+    # chunk of drawn events (1.6 MB); the chunk before it is freed first
+    pop = sample_population(MORAN_N4, 10**5, MORAN_N4_START, spawn_stream(50, 1))
+    peak = traced_peak(lambda: moran_simulate(MORAN_N4, pop, 1.0, spawn_stream(50, 2)))
+    assert peak <= 3.5e6
