@@ -25,6 +25,7 @@ from .solvers import _check_time, semigroup_solve
 from .rng import spawn_stream
 
 _EVENT_CHUNK = 1 << 16
+_DRAW_PIECE = 1 << 13
 
 
 @dataclass
@@ -48,8 +49,19 @@ def sample_population(cfg: SiteConfig, N: int, omega0, rng) -> MoranState:
         raise ValueError("initial measure must live on the full site set")
     p = np.clip(omega0.values, 0.0, None)
     p = p / p.sum()
-    types = rng.choice(2 ** cfg.n, size=N, p=p).astype(np.int64)
-    return MoranState(types=types)
+    return MoranState(types=_choice_into(np.empty(N, dtype=np.int64), rng, p))
+
+
+def _choice_into(out, rng, p):
+    """Fill out with independent draws from range(p.size) weighted by p,
+    `_DRAW_PIECE` at a time, and return it.  rng.choice takes one uniform
+    per draw, so the values and the generator's next draw are those of one
+    rng.choice(p.size, size=out.size, p=p), which would also hold an
+    out-sized uniform array and an out-sized int64 index array."""
+    for lo in range(0, out.size, _DRAW_PIECE):
+        piece = out[lo:lo + _DRAW_PIECE]
+        piece[...] = rng.choice(p.size, size=piece.size, p=p)
+    return out
 
 
 def moran_simulate(
@@ -76,6 +88,13 @@ def moran_simulate(
     event log of applying the events one at a time.  Individuals are picked
     uniformly, so a run typically meets its first conflict after about
     sqrt(N) events; a longer window would only add work.
+
+    Besides its input, the simulation holds at once the population copy
+    (N int64), the first-write array (N int32) and one chunk of at most
+    `_EVENT_CHUNK` events: uint8 kinds and int64 participants, about
+    25 bytes per event.  A chunk is freed before the next one is drawn.
+    The test-only event_log holds every event's time and tuple, so it is
+    O(events).
     """
     _check_time(t)
     N = state.size
@@ -99,16 +118,19 @@ def moran_simulate(
     # first_write[x] is the first position in the current window that writes
     # to x, or `window` when none does
     first_write = np.full(N, window, dtype=np.int32)
-    done = 0
-    while done < n_events:
-        chunk = min(_EVENT_CHUNK, n_events - done)
-        kind_idx = rng.choice(rates.size, size=chunk, p=rates / total)
-        alpha = rng.integers(0, N, size=chunk)
-        beta = rng.integers(0, N, size=chunk)
-        gamma = rng.integers(0, N, size=chunk)
+
+    def draw_and_apply(done, chunk):
+        # the chunk's arrays are locals, so they are freed on return,
+        # before the next chunk is drawn
+        kind_idx = _choice_into(np.empty(chunk, dtype=np.uint8), rng, rates / total)
+        # counted before the participants are drawn: bincount works on an
+        # intp copy of the kinds, as large as one participant array
         for k, count in enumerate(np.bincount(kind_idx, minlength=rates.size).tolist()):
             if count:
                 counters[kinds[k]] = counters.get(kinds[k], 0) + count
+        alpha = rng.integers(0, N, size=chunk)
+        beta = rng.integers(0, N, size=chunk)
+        gamma = rng.integers(0, N, size=chunk)
         if event_log:
             log.extend(zip(
                 times[done:done + chunk].tolist(),
@@ -120,7 +142,9 @@ def moran_simulate(
         _apply_in_runs(
             types, first_write, window, fit_bit, head, tail, kind_idx, alpha, beta, gamma
         )
-        done += chunk
+
+    for done in range(0, n_events, _EVENT_CHUNK):
+        draw_and_apply(done, min(_EVENT_CHUNK, n_events - done))
     out = MoranState(types=types, clock=state.clock + t, counters=counters)
     if event_log:
         out.counters["_event_log"] = log
@@ -131,8 +155,10 @@ def _apply_in_runs(
     types, first_write, window, fit_bit, head, tail, kind_idx, alpha, beta, gamma
 ):
     """Apply one chunk of events to types in place, one conflict-free run
-    of at most `window` events at a time (see moran_simulate).  Its views
-    of the chunk die on return, before the next chunk is drawn."""
+    of at most `window` events at a time (see moran_simulate).  It holds
+    only views of the chunk and per-run arrays of at most `window` entries;
+    the chunk itself belongs to the caller, which frees it before drawing
+    the next one."""
     steps = np.arange(window, dtype=np.int32)
     chunk = kind_idx.size
     start = 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selrec import (
     MoranState,
@@ -18,7 +19,7 @@ from selrec import (
     sample_population,
     spawn_stream,
 )
-from selrec.moran import _EVENT_CHUNK
+from selrec.moran import _DRAW_PIECE, _EVENT_CHUNK, _choice_into
 
 from conftest import traced_peak
 
@@ -281,3 +282,46 @@ def test_moran_simulate_holds_one_chunk():
     pop = sample_population(MORAN_N4, 10**5, MORAN_N4_START, spawn_stream(50, 1))
     peak = traced_peak(lambda: moran_simulate(MORAN_N4, pop, 1.0, spawn_stream(50, 2)))
     assert peak <= 3.5e6
+
+
+@pytest.mark.parametrize(
+    "m", [1, _DRAW_PIECE - 1, _DRAW_PIECE, _DRAW_PIECE + 1, _EVENT_CHUNK + 3]
+)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_piecewise_choice_matches_one_draw(m, dtype):
+    p = np.array([0.05, 0.0, 0.25, 0.3, 0.4])
+    whole, pieces = np.random.default_rng(m), np.random.default_rng(m)
+    want = whole.choice(p.size, size=m, p=p)
+    got = _choice_into(np.empty(m, dtype=dtype), pieces, p)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+    assert pieces.random() == whole.random()
+
+
+@st.composite
+def _moran_cases(draw):
+    n = draw(st.integers(1, 4))
+    i_star = draw(st.integers(1, n))
+    rate = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+    rho = tuple(0.0 if i == i_star else draw(rate) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=draw(rate), rho=rho)
+    types = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=60))
+    return cfg, types, draw(st.floats(0.0, 2.0)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_moran_cases())
+def test_batched_events_match_event_loop_on_generated_models(case):
+    cfg, types, t, seed = case
+    pop = MoranState(types=np.array(types, dtype=np.int64), clock=0.5)
+    for event_log in (False, True):
+        got = moran_simulate(cfg, pop, t, spawn_stream(seed, 0), event_log=event_log)
+        want = _moran_events_reference(
+            cfg, pop, t, spawn_stream(seed, 0), event_log=event_log
+        )
+        assert got.types.dtype == want.types.dtype
+        assert np.array_equal(got.types, want.types)
+        assert got.counters == want.counters
+        assert got.clock == want.clock
+    assert pop.types.tolist() == types
+    assert pop.counters == {} and pop.clock == 0.5
