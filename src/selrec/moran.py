@@ -164,7 +164,9 @@ def _apply_in_runs(
     start = 0
     while start < chunk:
         stop = min(start + window, chunk)
-        k = kind_idx[start:stop]
+        # widened once per run: head[k] and tail[k] would each convert
+        # uint8 kinds to intp again
+        k = kind_idx[start:stop].astype(np.intp)
         a = alpha[start:stop]
         b = beta[start:stop]
         g = np.where(k >= 2, gamma[start:stop], b)
