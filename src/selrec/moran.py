@@ -69,7 +69,6 @@ def moran_simulate(
     state: MoranState,
     t: float,
     rng,
-    event_log: bool = False,
 ) -> MoranState:
     """Exact simulation over a window of length t.
 
@@ -84,17 +83,15 @@ def moran_simulate(
     parent is an individual that an earlier event of the run writes to.
     Within a run every write target is therefore distinct and no event
     reads a value written inside the run, so gathering all parents first
-    and then scattering all offspring gives the population, counters and
-    event log of applying the events one at a time.  Individuals are picked
-    uniformly, so a run typically meets its first conflict after about
-    sqrt(N) events; a longer window would only add work.
+    and then scattering all offspring gives the population and counters of
+    applying the events one at a time.  Individuals are picked uniformly,
+    so a run typically meets its first conflict after about sqrt(N)
+    events; a longer window would only add work.
 
     Besides its input, the simulation holds at once the population copy
     (N int64), the first-write array (N int32) and one chunk of at most
     `_EVENT_CHUNK` events: uint8 kinds and int64 participants, about
     25 bytes per event.  A chunk is freed before the next one is drawn.
-    The test-only event_log holds every event's time and tuple, so it is
-    O(events).
     """
     _check_time(t)
     N = state.size
@@ -111,15 +108,13 @@ def moran_simulate(
     fit_bit = cfg.i_star - 1
     types = state.types.copy()
     counters = dict(state.counters)
-    log: list[tuple] = []
     n_events = rng.poisson(total * t) if total > 0.0 and t > 0.0 else 0
-    times = np.sort(rng.uniform(0.0, t, size=n_events)) if event_log else None
     window = int(2.0 * np.sqrt(N)) + 1
     # first_write[x] is the first position in the current window that writes
     # to x, or `window` when none does
     first_write = np.full(N, window, dtype=np.int32)
 
-    def draw_and_apply(done, chunk):
+    def draw_and_apply(chunk):
         # the chunk's arrays are locals, so they are freed on return,
         # before the next chunk is drawn
         kind_idx = _choice_into(np.empty(chunk, dtype=np.uint8), rng, rates / total)
@@ -131,24 +126,13 @@ def moran_simulate(
         alpha = rng.integers(0, N, size=chunk)
         beta = rng.integers(0, N, size=chunk)
         gamma = rng.integers(0, N, size=chunk)
-        if event_log:
-            log.extend(zip(
-                times[done:done + chunk].tolist(),
-                [kinds[k] for k in kind_idx.tolist()],
-                alpha.tolist(),
-                beta.tolist(),
-                gamma.tolist(),
-            ))
         _apply_in_runs(
             types, first_write, window, fit_bit, head, tail, kind_idx, alpha, beta, gamma
         )
 
     for done in range(0, n_events, _EVENT_CHUNK):
-        draw_and_apply(done, min(_EVENT_CHUNK, n_events - done))
-    out = MoranState(types=types, clock=state.clock + t, counters=counters)
-    if event_log:
-        out.counters["_event_log"] = log
-    return out
+        draw_and_apply(min(_EVENT_CHUNK, n_events - done))
+    return MoranState(types=types, clock=state.clock + t, counters=counters)
 
 
 def _apply_in_runs(

@@ -155,24 +155,21 @@ def make_rhs(cfg: SiteConfig) -> Callable[[np.ndarray], np.ndarray]:
     raw value vector to its time derivative."""
     s = cfg.s
     fmask = fit_mask(cfg.sites, cfg.i_star).astype(float)
-    cuts = {
-        Split(cfg.sites, *cfg.head_tail(i)).n_lo: cfg.rho_of(i)
-        for i in cfg.crossover_sites
-        if cfg.rho_of(i) != 0.0
-    }
+    cuts = {Split(cfg.sites, *cfg.head_tail(i)).n_lo: cfg.rho_of(i)
+            for i in cfg.crossover_sites}
     total = sum(cuts.values())
 
     def rhs(v: np.ndarray) -> np.ndarray:
+        # an elementwise sum, not a BLAS dot: its bits must not depend on
+        # the BLAS thread count
+        vf = v * fmask
+        f = float(vf.sum())
+        # added to zeros, not assigned: at s = 0 the term s * (...) holds
+        # -0.0 where (...) is negative, and a sum with +0.0 drops the sign
         out = np.zeros(v.shape)
-        if s:
-            # an elementwise sum, not a BLAS dot: its bits must not depend
-            # on the BLAS thread count
-            vf = v * fmask
-            f = float(vf.sum())
-            out += s * (vf - f * v)
-        if cuts:
-            add_cut_products(out, v, cuts)
-            out -= total * v
+        out += s * (vf - f * v)
+        add_cut_products(out, v, cuts)
+        out -= total * v
         return out
 
     return rhs
@@ -387,7 +384,8 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
     * the other arm, whose tails lie inside i's head, to
       (d + mass(I)) * c, the factor that also takes mass to level k's.
 
-    A zero-rate site changes nothing, and any valid order works, since each
+    At a zero-rate site the general update returns the level below exactly:
+    d is 1.0 and C holds exact zeros.  Any valid order works, since each
     arm's sites come outward in it.
 
     The first pass builds every site's columns d and C over the grid,
@@ -412,9 +410,6 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
         rate = cfg.rho_of(i)
         split = Split(cfg.sites, *cfg.head_tail(i))
         decay = np.exp(-rate * times)
-        if rate == 0.0:
-            steps.append((i, split, decay, None))
-            continue
         arm = 1 if i > cfg.i_star else -1
         fv_t, rest_t = split.tail(fv), split.tail(rest)
         integ = _cumulative_trapezoid((rate * decay)[:, None] * coef[arm], times)
@@ -423,7 +418,7 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
         coef[arm] = decay[:, None] * coef[arm] + mass[:, None] * integ
         coef[-arm] = grow[:, None] * coef[-arm]
         mass = grow * mass
-        steps.append((i, split, decay, (integ, fv_t, rest_t)))
+        steps.append((i, split, decay, integ, fv_t, rest_t))
     # the second pass reads only the columns in steps; the rest would stay
     # live beside its row blocks
     del coef, mass
@@ -438,14 +433,11 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
         level = e[at, None] * fv
         level += rest
         level /= den[at, None]
-        for (i, split, decay, update), parts in zip(steps, norms):
-            below, below_head = level, None
-            if update is not None:
-                integ, fv_t, rest_t = update
-                c = integ[at]
-                below_head = split.head(below)
-                level = split.product(below_head, c[:, :1] * fv_t + c[:, 1:] * rest_t)
-                level += decay[at, None] * below
+        for (i, split, decay, integ, fv_t, rest_t), parts in zip(steps, norms):
+            below, below_head = level, split.head(level)
+            c = integ[at]
+            level = split.product(below_head, c[:, :1] * fv_t + c[:, 1:] * rest_t)
+            level += decay[at, None] * below
             if residuals is not None:
                 parts.append(_deviation_norms(split, decay[at], level, below, below_head))
         out[dest[r][keep[r]]] = level[keep[r]]
@@ -471,8 +463,8 @@ def _deviation_norms(split, decay_rows, level, below, below_head):
     l1 norms of D(level) - decay_rows * D(below), of D(level) and of
     D(below), with D(W) = W - head(W) x tail(W) the product deviation of
     the rows of W.  below_head is below's head marginal as the level's
-    update took it, or None (a zero-rate site) to take it here.  Neither
-    level nor below is written."""
+    update took it; level's own is taken here.  Neither level nor below is
+    written."""
 
     def deviation(W, head):
         out = split.product(split.head(W) if head is None else head, split.tail(W))
@@ -706,8 +698,6 @@ def semigroup_path(cfg: SiteConfig, omega0: Measure, times: Iterable[float]):
         acc = chain.start(yule_pgf(cfg.s, t, chain.y))
         for i in chain.order[1:]:
             rho = cfg.rho_of(i)
-            if rho == 0.0:
-                continue
             p = 1.0 - math.exp(-rho * t)
             G = _started_mass_pgf(cfg.s, rho, float(resets[i - 1]), t, chain.y)
             acc = (1.0 - p) * acc + chain.overwrite(acc, i, p - G, G)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from selrec import (
     MoranState,
@@ -29,7 +29,6 @@ def _moran_events_reference(
     state: MoranState,
     t: float,
     rng,
-    event_log: bool = False,
 ) -> MoranState:
     """Event-by-event Moran simulation: the oracle for moran_simulate."""
     if t < 0:
@@ -42,7 +41,6 @@ def _moran_events_reference(
     total = float(rates.sum())
     types = state.types.copy()
     counters = dict(state.counters)
-    log: list[tuple] = []
     fit_bit = cfg.i_star - 1
     masks = {
         i: (
@@ -52,7 +50,6 @@ def _moran_events_reference(
         for i in cfg.crossover_sites
     }
     n_events = rng.poisson(total * t) if total > 0.0 and t > 0.0 else 0
-    times = np.sort(rng.uniform(0.0, t, size=n_events)) if event_log else None
     done = 0
     while done < n_events:
         chunk = min(_EVENT_CHUNK, n_events - done)
@@ -75,13 +72,8 @@ def _moran_events_reference(
                 site = cfg.crossover_sites[k - 2]
                 head_mask, tail_mask = masks[site]
                 types[a] = (int(types[b]) & head_mask) | (int(types[g]) & tail_mask)
-            if event_log:
-                log.append((float(times[done + j]), kind, a, b, g))
         done += chunk
-    out = MoranState(types=types, clock=state.clock + t, counters=counters)
-    if event_log:
-        out.counters["_event_log"] = log
-    return out
+    return MoranState(types=types, clock=state.clock + t, counters=counters)
 
 
 def test_sample_population_validation():
@@ -149,19 +141,6 @@ def test_event_counters_match_rates():
     ):
         count = out.counters.get(kind, 0)
         assert abs(count - lam) < 3.0 * math.sqrt(lam), kind
-
-
-def test_event_log_ordered_and_complete():
-    cfg = SiteConfig(n=2, i_star=1, s=0.5, rho=(0.0, 0.4))
-    nu = ProbabilityMeasure((1, 2), [0.25, 0.25, 0.25, 0.25])
-    pop = sample_population(cfg, 30, nu, spawn_stream(6, 0))
-    out = moran_simulate(cfg, pop, 1.5, spawn_stream(6, 1), event_log=True)
-    log = out.counters["_event_log"]
-    times = [e[0] for e in log]
-    assert times == sorted(times)
-    assert all(0.0 <= u <= 1.5 for u in times)
-    counted = sum(v for k, v in out.counters.items() if k != "_event_log")
-    assert counted == len(log)
 
 
 def test_fit_fraction_tracks_logistic_growth():
@@ -245,18 +224,15 @@ def test_batched_events_match_event_loop(case):
     )
     pop = sample_population(cfg, N, nu, spawn_stream(40, case))
     before = pop.types.copy()
-    for event_log in (False, True):
-        got = moran_simulate(cfg, pop, t, spawn_stream(41, case), event_log=event_log)
-        want = _moran_events_reference(
-            cfg, pop, t, spawn_stream(41, case), event_log=event_log
-        )
-        assert np.array_equal(got.types, want.types)
-        assert got.counters == want.counters
-        assert got.clock == want.clock
+    got = moran_simulate(cfg, pop, t, spawn_stream(41, case))
+    want = _moran_events_reference(cfg, pop, t, spawn_stream(41, case))
+    assert np.array_equal(got.types, want.types)
+    assert got.counters == want.counters
+    assert got.clock == want.clock
     assert np.array_equal(pop.types, before)
     assert pop.counters == {} and pop.clock == 0.0
     if case == len(ORACLE_CASES) - 1:
-        assert len(got.counters["_event_log"]) > 2 * _EVENT_CHUNK
+        assert sum(got.counters.values()) > 2 * _EVENT_CHUNK
 
 
 # the moran-n4 benchmark's model shape: n=4, s=0.8, crossover rates summing
@@ -309,19 +285,15 @@ def _moran_cases(draw):
     return cfg, types, draw(st.floats(0.0, 2.0)), draw(st.integers(0, 2 ** 32 - 1))
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(_moran_cases())
 def test_batched_events_match_event_loop_on_generated_models(case):
     cfg, types, t, seed = case
     pop = MoranState(types=np.array(types, dtype=np.int64), clock=0.5)
-    for event_log in (False, True):
-        got = moran_simulate(cfg, pop, t, spawn_stream(seed, 0), event_log=event_log)
-        want = _moran_events_reference(
-            cfg, pop, t, spawn_stream(seed, 0), event_log=event_log
-        )
-        assert got.types.dtype == want.types.dtype
-        assert np.array_equal(got.types, want.types)
-        assert got.counters == want.counters
-        assert got.clock == want.clock
+    got = moran_simulate(cfg, pop, t, spawn_stream(seed, 0))
+    want = _moran_events_reference(cfg, pop, t, spawn_stream(seed, 0))
+    assert got.types.dtype == want.types.dtype
+    assert np.array_equal(got.types, want.types)
+    assert got.counters == want.counters
+    assert got.clock == want.clock
     assert pop.types.tolist() == types
     assert pop.counters == {} and pop.clock == 0.5

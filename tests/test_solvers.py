@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 import selrec.solvers
@@ -74,8 +75,9 @@ def _reference_levels(cfg, nu, times, permutation):
     from the one below.  Level 0 is the selection-only flow; level k adds
     site permutation[k] at rate rho as decay * below + head(below) times
     the trapezoid integral of rho * decay * tail(below), with decay =
-    exp(-rho * t).  The solvers build the same levels one row block at a
-    time from coefficient columns, so they agree to rounding."""
+    exp(-rho * t); a zero-rate site is skipped, its level being the one
+    below.  The solvers build the same levels one row block at a time from
+    coefficient columns, with no skip, so they agree to rounding."""
     fv = fitness_projection(nu, cfg.i_star).values
     f0 = float(fv.sum())
     e = np.exp(np.minimum(cfg.s * times, 500.0))
@@ -203,7 +205,8 @@ def test_vector_field_matches_per_cut_recombinator():
 
 
 def test_vector_field_without_rates_is_the_selection_term_exactly():
-    # no recombination term is added at all: no -0.0 from subtracting 0 * v
+    # the zero-rate recombination terms add exact zeros: every bit of the
+    # selection term stays, and at s = 0 no -0.0 appears
     rng = spawn_stream(101, 42)
     for n, i_star in ((1, 1), (4, 2)):
         for s in (0.0, 1.3):
@@ -470,7 +473,7 @@ def test_recursion_levels_degenerate_without_rate():
                                                      quad_tol=1e-5))
     # permutation (2, 1, 3): site 1 has rate zero, level 1 equals level 0
     assert np.array_equal(levels[1], levels[0])
-    # and the engine's residual at site 1 compares a level with itself
+    # and the engine's residual at site 1 compares two levels of equal bits
     _, residuals = ld_decay_residuals(cfg, nu, SolverSettings(t_max=1.0, grid_steps=512,
                                                                quad_tol=1e-5), ())
     assert residuals[0]["site"] == 1 and residuals[0]["max_abs_error"] == 0.0
@@ -874,10 +877,11 @@ def test_residuals_merged_over_blocks_equal_one_whole_call(monkeypatch, block_by
 
 
 def test_residuals_take_each_head_marginal_once(monkeypatch):
-    # a level of nonzero rate is built from the head marginal of the level
-    # below, and its residual reads that one rather than taking it again:
+    # each level, zero-rate site 3 included, is built from the head marginal
+    # of the level below, and its residual reads that one rather than
+    # taking it again:
     # per row block, each level takes two head marginals, its own and that
-    # of the level below (the same array at a zero rate, site 3)
+    # of the level below (the same bits at a zero rate, site 3)
     cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
     nu = random_prob(cfg.sites, spawn_stream(101, 48))
     settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
@@ -909,6 +913,71 @@ def test_each_site_is_split_once_per_walk(monkeypatch):
 
     count = splits(ld_decay_residuals, _BLOCK_BYTES)
     assert splits(ld_decay_residuals, 1) == count == splits(recursive_solve, _BLOCK_BYTES)
+
+
+def test_every_crossover_site_takes_the_general_update(monkeypatch):
+    # zero-rate site 3 included: the closed form overwrites the tail at
+    # every crossover site in canonical order, and the recursion's row step
+    # builds one product per crossover site in every row block
+    cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
+    nu = random_prob(cfg.sites, spawn_stream(101, 48))
+    chain = selrec.solvers._DualityChain
+    real_overwrite = chain.overwrite
+    overwritten = []
+    monkeypatch.setattr(chain, "overwrite", lambda self, out, i, wb, wd: (
+        overwritten.append(i) or real_overwrite(self, out, i, wb, wd)))
+    semigroup_solve(cfg, nu, 1.0)
+    assert overwritten == [1, 3, 4]
+    real_product = Split.product
+    products = []
+    monkeypatch.setattr(Split, "product", lambda split, head, tail: (
+        products.append((split.n_lo, head.ndim)) or real_product(split, head, tail)))
+    monkeypatch.setattr(selrec.solvers, "_BLOCK_BYTES", 1)
+    settings = SolverSettings(t_max=1.0, grid_steps=64, quad_tol=1e-3)
+    recursive_solve(cfg, nu, settings)
+    # row blocks hold 2-d arrays; the closed form that checks the end point
+    # works on one vector
+    rows = [n_lo for n_lo, ndim in products if ndim == 2]
+    # sites 1, 3 and 4 cut off their lowest 1, 2 and 3 sites
+    assert rows == [1, 2, 3] * (settings.grid_steps + 1)
+
+
+@st.composite
+def _solver_cases(draw):
+    n = draw(st.integers(1, 6))
+    i_star = draw(st.integers(1, n))
+    rate = st.one_of(st.just(0.0), st.floats(1e-2, 4.0))
+    rho = tuple(0.0 if i == i_star else draw(rate) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=draw(rate), rho=rho)
+    return cfg, draw(st.floats(0.0, 2.0, exclude_min=True)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_solver_cases())
+def test_grid_solvers_meet_the_closed_form_on_generated_models(case):
+    # zero rates and s = 0 take the general update in all three engines:
+    # each grid solver ends near the closed form or refuses, and at a
+    # zero-rate site the recursion's level equals the level below, so the
+    # residual is exactly 0
+    cfg, t, seed = case
+    nu = ProbabilityMeasure(cfg.sites, np.random.default_rng(seed).dirichlet(np.ones(2 ** cfg.n)))
+    settings = SolverSettings(t_max=t, grid_steps=128, quad_tol=1e-5)
+    exact = semigroup_solve(cfg, nu, t).values
+    try:
+        ode = integrate_ode(cfg, nu, settings)
+    except SolverError:
+        pass
+    else:
+        assert np.abs(ode.values[-1] - exact).sum() < settings.quad_tol
+    try:
+        rec, residuals = ld_decay_residuals(cfg, nu, settings)
+    except GridTooCoarseError:
+        return
+    assert np.abs(rec.values[-1] - exact).sum() <= 10.0 * settings.quad_tol
+    assert [res["site"] for res in residuals] == list(cfg.canonical_permutation()[1:])
+    for res in residuals:
+        if res["rate"] == 0.0:
+            assert res["max_abs_error"] == 0.0
+            assert res["lhs_norms"].tobytes() == res["below_norms"].tobytes()
 
 
 def test_product_start_residuals_are_the_trapezoid_deviation():
