@@ -51,6 +51,7 @@ from .solvers import (
     equilibration_time,
     integrate_ode,
     ld_decay_residuals,
+    least_squares_slope,
     recursive_solve,
     selection_flow,
     semigroup_path,
@@ -290,7 +291,7 @@ def cmd_ld(args, exp: ExperimentConfig) -> _Run:
         # a slope needs two distinct times: at t_max 0 every grid time is 0
         if rate > 0.0 and np.unique(times[ok]).size >= 2:
             ratio = np.log(norms[ok] / res["below_norms"][ok])
-            fitted = float(np.polyfit(times[ok], ratio, 1)[0])
+            fitted = least_squares_slope(times[ok], ratio)
         levels.append({
             "level": level,
             "site": res["site"],

@@ -14,6 +14,7 @@ solution.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -300,8 +301,11 @@ def ypir_stationary(
 
     Needs s > 0.  A site that never initiates (zero crossover rate) stays
     at 0 forever when started there; otherwise the limit law does not
-    depend on the start and has the classic power tail with shape
-    resetting rate / s.
+    depend on the start: it is Yule-Simon with shape alpha = resetting
+    rate / s, P(N = 1) = alpha / (alpha + 1) and P(N = m + 1) =
+    P(N = m) * m / (m + alpha + 1), whose tail P(N > n) = n * B(n, alpha + 1)
+    has a closed form.  The support ends at the first n whose tail falls
+    below tail_tol, or at n_max.
     """
     if cfg.s <= 0.0:
         raise ValueError("the stationary law needs s > 0")
@@ -313,14 +317,15 @@ def ypir_stationary(
             f"site {i} has no resetting; its count grows without a stationary law"
         )
     alpha = r / s
-    probs = [0.0, alpha / (alpha + 1.0)]
-    cum = probs[1]
-    n = 1
-    while 1.0 - cum >= tail_tol and n < n_max:
-        probs.append(probs[-1] * n / (n + alpha + 1.0))
-        n += 1
-        cum += probs[-1]
-    return IntDistribution(np.array(probs), tail=max(0.0, 1.0 - cum))
+
+    def tail(n):
+        return math.exp(math.log(n) + math.lgamma(n) + math.lgamma(alpha + 1.0)
+                        - math.lgamma(n + alpha + 1.0))
+
+    end = 1 + bisect.bisect_left(range(1, n_max), True, key=lambda n: tail(n) < tail_tol)
+    m = np.arange(1.0, end)
+    steps = np.concatenate(([alpha / (alpha + 1.0)], m / (m + alpha + 1.0)))
+    return IntDistribution(np.concatenate(([0.0], np.cumprod(steps))), tail=tail(end))
 
 
 # -- weighted partition picture ---------------------------------------------

@@ -279,40 +279,44 @@ def recombinator(nu: Measure, head: Iterable[int], tail: Iterable[int]) -> Measu
     return tensor(nu.project(head), nu.project(tail))
 
 
-class Split:
-    """Row-wise kernel for one crossover cut of a site set into a head and
-    a tail, both contiguous runs of the sorted sites.
+def interval_marginal(V: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Marginal of every row of V on the sites lo..hi, for values of shape
+    (..., 2^k) over the sites 1..k.  Site j is bit j - 1, so the axes of
+    (..., 2^(k - hi), 2^(hi - lo + 1), 2^(lo - 1)) hold the sites above hi,
+    lo..hi and below lo, and the marginal sums the outer two."""
+    k = V.shape[-1].bit_length() - 1
+    shape = V.shape[:-1] + (1 << (k - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
+    return V.reshape(shape).sum(axis=(-3, -1))
 
-    With the smallest site in the least significant bit, the two blocks are
-    the low n_lo bits and the remaining high bits of the flat index.  Values
-    of shape (..., 2^k) reshape to (..., 2^(k - n_lo), 2^n_lo), so a block
-    marginal is a sum over one axis and the recombined state is the outer
-    product of the two marginals.
+
+class Split:
+    """Row-wise kernel for one crossover cut of the sites 1..k into a head
+    and a tail: the n_lo lowest sites, the low bits of the flat index, and
+    the rest.  head_low tells which of the two is the head.
+    SiteConfig.split builds the cut of each site.
+
+    A block marginal is an interval marginal, and the recombined state is
+    the outer product of the two marginals.
     """
 
     __slots__ = ("n_lo", "head_low")
 
-    def __init__(self, sites: Iterable[int], head: Iterable[int], tail: Iterable[int]):
-        sites = tuple(sorted(sites))
-        head, tail = frozenset(head), frozenset(tail)
-        if head | tail != frozenset(sites) or head & tail:
-            raise ValueError("head and tail must partition the sites")
-        self.head_low = bool(sites) and sites[0] in head
-        low = head if self.head_low else tail
-        if frozenset(sites[: len(low)]) != low:
-            raise ValueError("head and tail must be contiguous runs of sites")
-        self.n_lo = len(low)
+    def __init__(self, n_lo: int, head_low: bool):
+        self.n_lo, self.head_low = n_lo, head_low
 
-    def _blocks(self, V: np.ndarray) -> np.ndarray:
-        return V.reshape(V.shape[:-1] + (-1, 1 << self.n_lo))
+    def sides(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (lo, hi) site intervals of the head and of the tail among the
+        sites 1..k."""
+        low, high = (1, self.n_lo), (self.n_lo + 1, k)
+        return (low, high) if self.head_low else (high, low)
 
     def head(self, V: np.ndarray) -> np.ndarray:
         """Marginal of every row on the head sites."""
-        return np.add.reduce(self._blocks(V), axis=-2 if self.head_low else -1)
+        return interval_marginal(V, *self.sides(V.shape[-1].bit_length() - 1)[0])
 
     def tail(self, V: np.ndarray) -> np.ndarray:
         """Marginal of every row on the tail sites."""
-        return np.add.reduce(self._blocks(V), axis=-1 if self.head_low else -2)
+        return interval_marginal(V, *self.sides(V.shape[-1].bit_length() - 1)[1])
 
     def product(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """Row-wise product state of head and tail marginals."""

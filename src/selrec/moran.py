@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import ProbabilityMeasure, l1_distance
 from .sites import SiteConfig
-from .solvers import _check_time, semigroup_solve
+from .solvers import _check_time, least_squares_slope, semigroup_solve
 from .rng import spawn_stream
 
 _EVENT_CHUNK = 1 << 16
@@ -99,12 +99,7 @@ def moran_simulate(
     kinds = ["neutral", "selective"] + [f"recombination_{i}" for i in sites]
     rates = np.array([float(N), cfg.s * N] + [cfg.rho_of(i) * N for i in sites])
     total = float(rates.sum())
-    # per kind: the letters taken from the parent and from the second
-    # parent; neutral and selective offspring copy the whole parent
-    head = np.array(
-        [2 ** cfg.n - 1] * 2 + [_bit_mask(cfg.head(i)) for i in sites], dtype=np.int64
-    )
-    tail = np.array([0, 0] + [_bit_mask(cfg.tail(i)) for i in sites], dtype=np.int64)
+    head, tail = _copy_masks(cfg)
     fit_bit = cfg.i_star - 1
     types = state.types.copy()
     counters = dict(state.counters)
@@ -168,8 +163,16 @@ def _apply_in_runs(
         start += run
 
 
-def _bit_mask(sites) -> int:
-    return sum(1 << (a - 1) for a in sites)
+def _copy_masks(cfg: SiteConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per event kind, the bit masks of the letters an offspring takes from
+    the parent and from the second parent: neutral and selective offspring
+    copy the whole parent, a recombinant takes the head of its site's cut
+    from the parent and the tail from the second parent."""
+    heads = (cfg.split(i).sides(cfg.n)[0] for i in cfg.crossover_sites)
+    # bits lo - 1 .. hi - 1 hold the head sites lo..hi
+    head = np.array([(1 << cfg.n) - 1] * 2 + [(1 << hi) - (1 << lo - 1) for lo, hi in heads],
+                    dtype=np.int64)
+    return head, head[0] ^ head
 
 
 def empirical_measure(cfg: SiteConfig, state: MoranState) -> ProbabilityMeasure:
@@ -237,7 +240,7 @@ def lln_convergence(
     # and a positive mean distance at each: a one-type start is met exactly
     slope = None
     if len(set(sizes)) >= 2 and (mean > 0.0).all():
-        slope = float(np.polyfit(np.log(sizes), np.log(mean), 1)[0])
+        slope = least_squares_slope(np.log(sizes), np.log(mean))
     return LLNReport(
         population_sizes=sizes,
         mean_distance=[float(v) for v in mean],

@@ -69,16 +69,17 @@ def _anchor(lo: int, hi: int, i_star: int) -> int:
     return i_star if lo <= i_star <= hi else lo if lo > i_star else hi
 
 
-def _blocks(started: int, n: int, i_star: int):
+def _blocks(started: int, cfg: SiteConfig):
     """(lo, hi, anchor) of each block, left to right, of the interval
-    partition of 1..n that the started sites cut; bit i - 1 of started
-    marks site i.  A started site on the left arm closes its block, one on
-    the right arm opens it, so each block but the central one is anchored
-    at a started site."""
-    cuts = [i + 1 if i < i_star else i
-            for i in range(1, n + 1) if i != i_star and started >> (i - 1) & 1]
-    for lo, nxt in zip([1, *cuts], [*cuts, n + 1]):
-        yield lo, nxt - 1, _anchor(lo, nxt - 1, i_star)
+    partition of the sites of cfg that the started sites cut; bit i - 1 of
+    started marks site i.  Each started site cuts where its crossover
+    does, between its head and its tail, so each block but the central
+    one has a started site at its end towards the selected site, its
+    anchor."""
+    cuts = [cfg.split(i).n_lo + 1
+            for i in cfg.crossover_sites if started >> (i - 1) & 1]
+    for lo, nxt in zip([1, *cuts], [*cuts, cfg.n + 1]):
+        yield lo, nxt - 1, _anchor(lo, nxt - 1, cfg.i_star)
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,6 @@ def decode(m, cfg: SiteConfig) -> WeightedPartition:
     if m[cfg.i_star - 1] <= 0:
         raise ValueError("the selected site must carry a positive entry")
     started = sum(1 << j for j, v in enumerate(m.tolist()) if v > 0)
-    blocks = list(_blocks(started, cfg.n, cfg.i_star))
+    blocks = list(_blocks(started, cfg))
     part = IntervalPartition(tuple(tuple(range(lo, hi + 1)) for lo, hi, _ in blocks))
     return WeightedPartition(part, tuple(int(m[a - 1]) for _, _, a in blocks))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import Split
+
 
 @dataclass(frozen=True)
 class SiteConfig:
@@ -54,6 +56,11 @@ class SiteConfig:
                 f"rho[{self.i_star - 1}] must be 0"
             )
         object.__setattr__(self, "rho", rho)
+        # per site, the rates from the nearer of it and the selected site to
+        # the farther, summed in that order
+        object.__setattr__(self, "_resetting", tuple(
+            sum(rho[min(i, self.i_star) - 1 : max(i, self.i_star)]) for i in self.sites
+        ))
 
     # -- basic site sets ---------------------------------------------------
 
@@ -83,16 +90,20 @@ class SiteConfig:
         self._check_site(j)
         return (self.i_star <= i <= j) or (self.i_star >= i >= j)
 
+    def split(self, i: int) -> Split:
+        """The cut of a crossover at site i, as a kernel on value vectors
+        over all sites.  Site j is bit j - 1, so the low block holds the
+        sites below the cut: the head 1..i-1 on the right arm, the tail
+        1..i on the left.  The selected site's tail is every site."""
+        self._check_site(i)
+        if i > self.i_star:
+            return Split(i - 1, True)
+        return Split(i if i < self.i_star else self.n, False)
+
     def tail(self, i: int) -> frozenset[int]:
         """Sites separated from the selected site by a crossover at i
         (including i itself).  The tail of the selected site is everything."""
-        self._check_site(i)
-        if i == self.i_star:
-            lo, hi = 1, self.n
-        elif i > self.i_star:
-            lo, hi = i, self.n
-        else:
-            lo, hi = 1, i
+        lo, hi = self.split(i).sides(self.n)[1]
         return frozenset(range(lo, hi + 1))
 
     def head(self, i: int) -> frozenset[int]:
@@ -130,31 +141,24 @@ class SiteConfig:
         return order
 
     def is_valid_ordering(self, perm: tuple[int, ...]) -> bool:
-        """Check that perm lists all sites and never places a site before
-        one it succeeds in the partial order."""
+        """Check that perm lists all sites and places every crossover site
+        after its predecessor, hence after every site it succeeds in the
+        partial order."""
         if sorted(perm) != list(self.sites):
             return False
         pos = {site: k for k, site in enumerate(perm)}
-        for i in self.sites:
-            for j in self.sites:
-                if i != j and self.precedes(i, j) and pos[i] > pos[j]:
-                    return False
-        return True
+        return all(pos[self.predecessor(i)] < pos[i] for i in self.crossover_sites)
 
     # -- derived rates -----------------------------------------------------
 
     def resetting_rates(self) -> np.ndarray:
         """Per site, the summed crossover rates of all sites between it and
         the selected site (inclusive).  Zero at the selected site."""
-        r = np.zeros(self.n)
-        for i in self.sites:
-            lo, hi = min(i, self.i_star), max(i, self.i_star)
-            r[i - 1] = sum(self.rho[j - 1] for j in range(lo, hi + 1))
-        return r
+        return np.array(self._resetting)
 
     def resetting_rate(self, i: int) -> float:
         self._check_site(i)
-        return float(self.resetting_rates()[i - 1])
+        return self._resetting[i - 1]
 
     def marginal_rates(self, subset) -> dict[int, float]:
         """Effective crossover rates for the dynamics restricted to a subset

@@ -24,13 +24,13 @@ import numpy as np
 from .measure import (
     Measure,
     ProbabilityMeasure,
-    Split,
     add_cut_products,
     cond_fit,
     cond_unfit,
     fit_fraction,
     fit_mask,
     fitness_projection,
+    interval_marginal,
     recombinator,
 )
 from .partitions import _blocks
@@ -155,8 +155,7 @@ def make_rhs(cfg: SiteConfig) -> Callable[[np.ndarray], np.ndarray]:
     raw value vector to its time derivative."""
     s = cfg.s
     fmask = fit_mask(cfg.sites, cfg.i_star).astype(float)
-    cuts = {Split(cfg.sites, *cfg.head_tail(i)).n_lo: cfg.rho_of(i)
-            for i in cfg.crossover_sites}
+    cuts = {cfg.split(i).n_lo: cfg.rho_of(i) for i in cfg.crossover_sites}
     total = sum(cuts.values())
 
     def rhs(v: np.ndarray) -> np.ndarray:
@@ -408,7 +407,7 @@ def _level_rows(cfg, omega0, times, walked, held, permutation, residuals):
     steps = []
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
-        split = Split(cfg.sites, *cfg.head_tail(i))
+        split = cfg.split(i)
         decay = np.exp(-rate * times)
         arm = 1 if i > cfg.i_star else -1
         fv_t, rest_t = split.tail(fv), split.tail(rest)
@@ -492,6 +491,13 @@ def _cumulative_trapezoid(y, times):
     step /= 2.0
     np.cumsum(step, axis=0, out=step)
     return out
+
+
+def least_squares_slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x, y), in closed
+    form: sum((x - mean x) * (y - mean y)) / sum((x - mean x)^2)."""
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
 
 
 def _row_blocks(stop: int, width: int) -> list[slice]:
@@ -614,20 +620,15 @@ class _DualityChain:
                              "mass 1 - f0, which the duality values are built from")
         self.b = cond_fit(nu, cfg.i_star).values
         self.d = cond_unfit(nu, cfg.i_star).values
-        self.n, self.i_star = cfg.n, cfg.i_star
+        self.cfg = cfg
         self.order = cfg.canonical_permutation()
-        self._splits = {i: Split(cfg.sites, *cfg.head_tail(i)) for i in self.order[1:]}
         # (lo, hi) -> the marginals of b and d on the sites lo..hi
         self._marginals = {}
 
     def _block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         key = (lo, hi)
         if key not in self._marginals:
-            # site j is bit j - 1: the axes are sites above hi, lo..hi, below lo
-            shape = (1 << (self.n - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
-            self._marginals[key] = tuple(
-                v.reshape(shape).sum(axis=(0, 2)) for v in (self.b, self.d)
-            )
+            self._marginals[key] = tuple(interval_marginal(v, lo, hi) for v in (self.b, self.d))
         return self._marginals[key]
 
     def start(self, g):
@@ -637,8 +638,8 @@ class _DualityChain:
     def overwrite(self, out: np.ndarray, i: int, wb, wd) -> np.ndarray:
         """Each row of out with its tail at site i replaced: the head
         marginal of the row times wb*b_T + wd*d_T."""
-        b, d = self._block(i, self.n) if i > self.i_star else self._block(1, i)
-        split = self._splits[i]
+        split = self.cfg.split(i)
+        b, d = self._block(*split.sides(self.cfg.n)[1])
         return split.product(split.head(out), wb * b + wd * d)
 
     def value(self, started: int, dweights: np.ndarray, out: np.ndarray) -> None:
@@ -650,11 +651,11 @@ class _DualityChain:
         (1 - g)*b_B + g*d_B with the weight g of the site that anchors it,
         and the product of the factors, in site order, is the value."""
         acc = None
-        for lo, hi, anchor in _blocks(started, self.n, self.i_star):
+        for lo, hi, anchor in _blocks(started, self.cfg):
             b, d = self._block(lo, hi)
             g = dweights[:, anchor - 1, None]
             # the last block ends at site n; its product goes straight to out
-            dest = out if hi == self.n else None
+            dest = out if hi == self.cfg.n else None
             if acc is None:
                 acc = np.multiply(1.0 - g, b, out=dest)
                 acc += g * d

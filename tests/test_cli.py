@@ -11,7 +11,7 @@ import pytest
 
 from selrec.cli import main
 from selrec.config import ExperimentConfig
-from selrec.solvers import SolverError, integrate_ode, recursive_solve
+from selrec.solvers import SolverError, integrate_ode, least_squares_slope, recursive_solve
 
 BASE = {
     "n": 2,
@@ -356,6 +356,34 @@ def test_asymptotics_needs_positive_rates(tmp_path):
     cfgp = write_config(tmp_path, rho=[0.0, 0.0])
     out = tmp_path / "run"
     assert main(["asymptotics", "--config", str(cfgp), "--out", str(out)]) == 1
+
+
+def test_fitted_slopes_need_no_polyfit(tmp_path, monkeypatch):
+    # ld's fitted rates and moran's log-log slope come from the closed-form
+    # least-squares slope, not from np.polyfit and its LAPACK buffers
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    cfgp = write_config(tmp_path)
+    assert main(["ld", "--config", str(cfgp), "--out", str(tmp_path / "ld")]) == 0
+    levels = json.loads((tmp_path / "ld" / "ld_rates.json").read_text())["levels"]
+    assert levels and all(row["fitted_rate"] is not None for row in levels)
+    assert main(["moran", "--config", str(cfgp), "--out", str(tmp_path / "moran")]) == 0
+    assert json.loads((tmp_path / "moran" / "moran_lln.json").read_text())["slope"] is not None
+
+
+def test_least_squares_slope_matches_polyfit():
+    cases = [
+        ([0.0, 1.0], [2.0, -3.0]),
+        ([1.0, 2.0, 4.0, 8.0], [0.3, 0.1, -0.2, -0.9]),
+        (np.log([10_000, 100_000]), np.log([0.031, 0.0121])),
+        (np.linspace(0.0, 1.0, 513), np.exp(-0.6 * np.linspace(0.0, 1.0, 513)) + 0.01),
+    ]
+    for x, y in cases:
+        x, y = np.asarray(x), np.asarray(y)
+        expect = np.polyfit(x, y, 1)[0]
+        assert abs(least_squares_slope(x, y) - expect) <= 1e-12 * abs(expect)
 
 
 def test_ld_rates_match_nominal(tmp_path):

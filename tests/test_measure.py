@@ -21,7 +21,9 @@ from selrec import (
     tensor,
     uniform,
 )
-from selrec.measure import UNIT, Split, add_cut_products, scalar
+from selrec.measure import UNIT, add_cut_products, scalar
+
+from test_sites import reference_head_tail
 
 
 def random_prob(sites, rng):
@@ -148,9 +150,8 @@ def test_recombinator_two_sites():
     assert got.allclose(uniform((1, 2)))
 
 
-def assert_split_matches_recombinator(sites, head, tail, rng):
+def assert_split_matches_recombinator(split, sites, head, tail, rng):
     V = rng.random((5, 2 ** len(sites)))
-    split = Split(sites, head, tail)
     via_marginals = split.product(split.head(V), split.tail(V))
     for row, m in zip(V, via_marginals):
         expect = recombinator(Measure(sites, row), head, tail).values
@@ -164,23 +165,36 @@ def test_split_kernel_matches_recombinator_at_every_crossover():
         for i_star in range(1, n + 1):
             cfg = SiteConfig(n=n, i_star=i_star, s=1.0, rho=(0.0,) * n)
             for i in cfg.crossover_sites:
-                assert_split_matches_recombinator(cfg.sites, *cfg.head_tail(i), rng)
+                assert_split_matches_recombinator(cfg.split(i), cfg.sites,
+                                                  *reference_head_tail(cfg, i), rng)
 
 
 def test_split_kernel_on_marginal_subset():
     rng = spawn_stream(0, 13)
     cfg = SiteConfig(n=8, i_star=4, s=1.0, rho=(0.3,) * 3 + (0.0,) + (0.3,) * 4)
     A = (1, 3, 4, 6, 7)
-    for i in cfg.marginal_rates(A):
-        head, tail = cfg.head_tail(i)
-        assert_split_matches_recombinator(A, head & set(A), tail & set(A), rng)
+    # the marginal model relabels A to 1..5; its cut at A's j-th site is
+    # cfg's cut at that site, restricted to A
+    model = cfg.marginal(A)
+    for j in model.crossover_sites:
+        head, tail = reference_head_tail(cfg, A[j - 1])
+        assert_split_matches_recombinator(model.split(j), A, head & set(A), tail & set(A), rng)
 
 
-def test_split_refuses_non_contiguous_blocks():
-    with pytest.raises(ValueError, match="contiguous"):
-        Split((1, 2, 3), {1, 3}, {2})
-    with pytest.raises(ValueError, match="partition"):
-        Split((1, 2, 3), {1}, {2})
+def test_split_of_each_site_is_built_from_its_site():
+    # n = 3: (n_lo, head_low) of the cut at each site, for each selected
+    # site; the selected site's own tail is every site
+    expect = {
+        1: {1: (3, False), 2: (1, True), 3: (2, True)},
+        2: {1: (1, False), 2: (3, False), 3: (2, True)},
+        3: {1: (1, False), 2: (2, False), 3: (3, False)},
+    }
+    for i_star, cuts in expect.items():
+        cfg = SiteConfig(n=3, i_star=i_star, s=1.0, rho=(0.0,) * 3)
+        for i, cut in cuts.items():
+            split = cfg.split(i)
+            assert (split.n_lo, split.head_low) == cut
+            assert split.sides(3)[1] == (min(cfg.tail(i)), max(cfg.tail(i)))
 
 
 def test_cut_products_refuse_cuts_outside_the_sites():

@@ -1,7 +1,132 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from selrec import SiteConfig
+from selrec.measure import interval_marginal
+from selrec.moran import _copy_masks
+from selrec.partitions import _blocks
+
+
+# -- the cut's former definitions, kept as references -------------------------
+
+
+def reference_head_tail(cfg, i):
+    """Head and tail of a crossover at i as SiteConfig once built them."""
+    if i == cfg.i_star:
+        lo, hi = 1, cfg.n
+    elif i > cfg.i_star:
+        lo, hi = i, cfg.n
+    else:
+        lo, hi = 1, i
+    tail = frozenset(range(lo, hi + 1))
+    return frozenset(cfg.sites) - tail, tail
+
+
+class ReferenceSplit:
+    """The Split kernel as it was once built: from the sorted sites and
+    two frozensets, with the head and tail marginals summed over one axis
+    of a two-axis reshape."""
+
+    def __init__(self, sites, head, tail):
+        sites = tuple(sorted(sites))
+        head, tail = frozenset(head), frozenset(tail)
+        assert head | tail == frozenset(sites) and not head & tail
+        self.head_low = bool(sites) and sites[0] in head
+        low = head if self.head_low else tail
+        assert frozenset(sites[: len(low)]) == low
+        self.n_lo = len(low)
+
+    def _blocks(self, V):
+        return V.reshape(V.shape[:-1] + (-1, 1 << self.n_lo))
+
+    def head(self, V):
+        return np.add.reduce(self._blocks(V), axis=-2 if self.head_low else -1)
+
+    def tail(self, V):
+        return np.add.reduce(self._blocks(V), axis=-1 if self.head_low else -2)
+
+    def product(self, head, tail):
+        lo, hi = (head, tail) if self.head_low else (tail, head)
+        return (hi[..., :, None] * lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
+
+
+def reference_block(v, n, lo, hi):
+    """The duality chain's interval marginal of one value vector, as it was
+    once taken."""
+    shape = (1 << (n - hi), 1 << (hi - lo + 1), 1 << (lo - 1))
+    return v.reshape(shape).sum(axis=(0, 2))
+
+
+def reference_blocks(started, n, i_star):
+    """(lo, hi) of the blocks that the started sites cut, by the former
+    rule: a left-arm site closes its block, a right-arm site opens it."""
+    cuts = [i + 1 if i < i_star else i
+            for i in range(1, n + 1) if i != i_star and started >> (i - 1) & 1]
+    return [(lo, nxt - 1) for lo, nxt in zip([1, *cuts], [*cuts, n + 1])]
+
+
+def reference_resetting_rates(cfg):
+    r = np.zeros(cfg.n)
+    for i in cfg.sites:
+        lo, hi = min(i, cfg.i_star), max(i, cfg.i_star)
+        r[i - 1] = sum(cfg.rho[j - 1] for j in range(lo, hi + 1))
+    return r
+
+
+@st.composite
+def _cut_cases(draw):
+    n = draw(st.integers(1, 8))
+    i_star = draw(st.integers(1, n))
+    rho = tuple(0.0 if i == i_star else draw(st.floats(0.0, 4.0)) for i in range(1, n + 1))
+    rows = draw(st.sampled_from([None, 1, 7, 64]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    started = [draw(st.integers(0, 2**n - 1)) | 1 << (i_star - 1) for _ in range(4)]
+    return SiteConfig(n=n, i_star=i_star, s=1.0, rho=rho), rows, seed, started
+
+
+@given(_cut_cases())
+def test_the_cut_of_each_site_keeps_its_former_definitions(case):
+    cfg, rows, seed, started = case
+    n = cfg.n
+    rng = np.random.default_rng(seed)
+    V = rng.random(2**n if rows is None else (rows, 2**n))
+    full = (1 << n) - 1
+    head_masks, tail_masks = [full, full], [0, 0]
+    for i in cfg.crossover_sites:
+        head, tail = reference_head_tail(cfg, i)
+        assert (cfg.head(i), cfg.tail(i)) == (head, tail)
+        split, ref = cfg.split(i), ReferenceSplit(cfg.sites, head, tail)
+        assert np.array_equal(split.head(V), ref.head(V))
+        assert np.array_equal(split.tail(V), ref.tail(V))
+        assert np.array_equal(split.product(split.head(V), split.tail(V)),
+                              ref.product(ref.head(V), ref.tail(V)))
+        head_masks.append(sum(1 << (a - 1) for a in head))
+        tail_masks.append(sum(1 << (a - 1) for a in tail))
+    for lo, hi in itertools.combinations_with_replacement(range(1, n + 1), 2):
+        got = interval_marginal(V, lo, hi)
+        expect = [reference_block(v, n, lo, hi) for v in V.reshape(-1, 2**n)]
+        assert np.array_equal(got.reshape(len(expect), -1), np.stack(expect))
+    for mask in started:
+        blocks = list(_blocks(mask, cfg))
+        assert [(lo, hi) for lo, hi, _ in blocks] == reference_blocks(mask, n, cfg.i_star)
+    masks = _copy_masks(cfg)
+    assert masks[0].tolist() == head_masks and masks[1].tolist() == tail_masks
+    assert np.array_equal(cfg.resetting_rates(), reference_resetting_rates(cfg))
+
+
+def test_valid_ordering_matches_the_all_pairs_rule():
+    # an ordering is valid when no site comes before one it succeeds
+    for n in range(1, 7):
+        for i_star in range(1, n + 1):
+            cfg = SiteConfig(n=n, i_star=i_star, s=1.0, rho=(0.0,) * n)
+            for perm in itertools.permutations(cfg.sites):
+                pos = {site: k for k, site in enumerate(perm)}
+                expect = all(pos[i] < pos[j] for i in cfg.sites for j in cfg.sites
+                             if i != j and cfg.precedes(i, j))
+                assert cfg.is_valid_ordering(perm) == expect
 
 
 def test_validation():

@@ -86,7 +86,7 @@ def _reference_levels(cfg, nu, times, permutation):
     for i in permutation[1:]:
         rate = cfg.rho_of(i)
         if rate != 0.0:
-            split = Split(cfg.sites, *cfg.head_tail(i))
+            split = cfg.split(i)
             decay = np.exp(-rate * times)
             integ = cumulative_trapezoid((rate * decay)[:, None] * split.tail(level), x=times,
                                          axis=0, initial=0.0)
@@ -457,7 +457,7 @@ def test_tail_only_recursion_level_matches_full_array_formula():
         for k in range(1, n):
             i = perm[k]
             rate = cfg.rho_of(i)
-            split = Split(cfg.sites, *cfg.head_tail(i))
+            split = cfg.split(i)
             prev = levels[k - 1]
             decay = np.exp(-rate * times)
             full = _cumulative_trapezoid((rate * decay)[:, None] * prev, times)
@@ -484,7 +484,7 @@ def _residual_out_of_place(cfg, i, times, level, below):
     # the residual of ld_decay_residuals at site i on the rows of level and
     # the level below, with a fresh array for every step
     rate = cfg.rho_of(i)
-    split = Split(cfg.sites, *cfg.head_tail(i))
+    split = cfg.split(i)
 
     def deviation(W):
         return W - split.product(split.head(W), split.tail(W))
