@@ -8,10 +8,13 @@ fire when the would-be parent is fit, and recombination arrows at rate
 rho_i/N^2 per ordered triple, the offspring taking the head letters from
 the first parent and the tail letters from the second.
 
-The simulation draws whole chunks of events at once and applies them in
-conflict-free runs: within a run no event reads or overwrites an individual
-that an earlier event of the run writes, so a few numpy gathers and one
-scatter per run reproduce the event-by-event realisation exactly.
+A population is one array of types in the narrowest unsigned integer type
+that holds n bits: one byte per individual up to n = 8, two up to 16, four
+beyond.  The simulation draws whole chunks of events at once and applies
+them in conflict-free runs: within a run no event reads or overwrites an
+individual that an earlier event of the run writes, so a few numpy gathers,
+one bit blend and one scatter per run reproduce the event-by-event
+realisation exactly.
 """
 from __future__ import annotations
 
@@ -42,14 +45,17 @@ class MoranState:
 
 
 def sample_population(cfg: SiteConfig, N: int, omega0, rng) -> MoranState:
-    """Independent draws from omega0."""
+    """Independent draws from omega0, in the narrowest unsigned integer
+    type that holds n bits: uint8 up to n = 8, uint16 up to 16, uint32
+    beyond."""
     if N < 1:
         raise ValueError("population size must be >= 1")
     if omega0.sites != cfg.sites:
         raise ValueError("initial measure must live on the full site set")
     p = np.clip(omega0.values, 0.0, None)
     p = p / p.sum()
-    return MoranState(types=_choice_into(np.empty(N, dtype=np.int64), rng, p))
+    types = np.empty(N, dtype=np.min_scalar_type((1 << cfg.n) - 1))
+    return MoranState(types=_choice_into(types, rng, p))
 
 
 def _choice_into(out, rng, p):
@@ -88,10 +94,15 @@ def moran_simulate(
     so a run typically meets its first conflict after about sqrt(N)
     events; a longer window would only add work.
 
+    The population keeps its dtype, and the masks are built in it.
     Besides its input, the simulation holds at once the population copy
-    (N int64), the first-write array (N int32) and one chunk of at most
-    `_EVENT_CHUNK` events: uint8 kinds and int64 participants, about
-    25 bytes per event.  A chunk is freed before the next one is drawn.
+    (the input's itemsize per individual: 1, 2 or 4 bytes from
+    sample_population), the int16 first-write array (2 bytes per
+    individual; int32 once the window reaches 2^15, at N above 2.68e8) and
+    one chunk of at most `_EVENT_CHUNK` events: a uint8 kind, three int64
+    participants and the kind's head and stop masks in the population's
+    dtype, 27 bytes per event up to n = 8, 29 up to 16 and 33 beyond.  A
+    chunk is freed before the next one is drawn.
     """
     _check_time(t)
     N = state.size
@@ -99,15 +110,14 @@ def moran_simulate(
     kinds = ["neutral", "selective"] + [f"recombination_{i}" for i in sites]
     rates = np.array([float(N), cfg.s * N] + [cfg.rho_of(i) * N for i in sites])
     total = float(rates.sum())
-    head, tail = _copy_masks(cfg)
-    fit_bit = cfg.i_star - 1
     types = state.types.copy()
+    head, stop_bit = _kind_masks(cfg, types.dtype)
     counters = dict(state.counters)
     n_events = rng.poisson(total * t) if total > 0.0 and t > 0.0 else 0
     window = int(2.0 * np.sqrt(N)) + 1
     # first_write[x] is the first position in the current window that writes
     # to x, or `window` when none does
-    first_write = np.full(N, window, dtype=np.int32)
+    first_write = np.full(N, window, dtype=np.int16 if window < 1 << 15 else np.int32)
 
     def draw_and_apply(chunk):
         # the chunk's arrays are locals, so they are freed on return,
@@ -121,58 +131,70 @@ def moran_simulate(
         alpha = rng.integers(0, N, size=chunk)
         beta = rng.integers(0, N, size=chunk)
         gamma = rng.integers(0, N, size=chunk)
-        _apply_in_runs(
-            types, first_write, window, fit_bit, head, tail, kind_idx, alpha, beta, gamma
-        )
+        # a non-recombinant takes its own offspring as second parent: under
+        # the full head mask it copies its parent, and a stopped selective
+        # event keeps the offspring's value.  The run check already covers
+        # the offspring, so this adds no clash
+        np.copyto(gamma, alpha, where=kind_idx < 2)
+        _apply_in_runs(types, first_write, window, head[kind_idx], stop_bit[kind_idx],
+                       alpha, beta, gamma)
 
     for done in range(0, n_events, _EVENT_CHUNK):
         draw_and_apply(min(_EVENT_CHUNK, n_events - done))
     return MoranState(types=types, clock=state.clock + t, counters=counters)
 
 
-def _apply_in_runs(
-    types, first_write, window, fit_bit, head, tail, kind_idx, alpha, beta, gamma
-):
+def _apply_in_runs(types, first_write, window, head, stop, alpha, beta, gamma):
     """Apply one chunk of events to types in place, one conflict-free run
-    of at most `window` events at a time (see moran_simulate).  It holds
-    only views of the chunk and per-run arrays of at most `window` entries;
-    the chunk itself belongs to the caller, which frees it before drawing
-    the next one."""
-    steps = np.arange(window, dtype=np.int32)
-    chunk = kind_idx.size
+    of at most `window` events at a time (see moran_simulate).  Event j
+    writes to alpha[j] the letters of its parent types[beta[j]] that
+    head[j] marks and the other letters of types[gamma[j]]; when the parent
+    carries a bit of stop[j], all letters come from types[gamma[j]].  It
+    holds only views of the chunk and per-run arrays of at most `window`
+    entries; the chunk itself belongs to the caller, which frees it before
+    drawing the next one."""
+    steps = np.arange(window, dtype=first_write.dtype)
+    chunk = alpha.size
     start = 0
     while start < chunk:
-        stop = min(start + window, chunk)
-        # widened once per run: head[k] and tail[k] would each convert
-        # uint8 kinds to intp again
-        k = kind_idx[start:stop].astype(np.intp)
-        a = alpha[start:stop]
-        b = beta[start:stop]
-        g = np.where(k >= 2, gamma[start:stop], b)
-        pos = steps[: stop - start]
+        limit = min(start + window, chunk)
+        a = alpha[start:limit]
+        b = beta[start:limit]
+        g = gamma[start:limit]
+        pos = steps[: limit - start]
         np.minimum.at(first_write, a, pos)
-        clash = (first_write[a] < pos) | (first_write[b] < pos) | (first_write[g] < pos)
+        # an event clashes when a position before its own writes to one of
+        # its individuals
+        seen = np.minimum(first_write[a], first_write[b])
+        np.minimum(seen, first_write[g], out=seen)
         first_write[a] = window
         # the first event never clashes, so argmax 0 means no clash
-        run = int(clash.argmax()) or stop - start
-        k, a, b, g = k[:run], a[:run], b[:run], g[:run]
-        parent = types[b]
-        offspring = (parent & head[k]) | (types[g] & tail[k])
-        keep = (k != 1) | ((parent >> fit_bit) & 1 == 0)
-        types[a[keep]] = offspring[keep]
-        start += run
+        end = start + (int((seen < pos).argmax()) or limit - start)
+        run = slice(start, end)
+        parent = types[beta[run]]
+        second = types[gamma[run]]
+        # a stopped event takes nothing from its parent
+        mask = np.where(parent & stop[run], 0, head[run])
+        mask &= parent ^ second
+        types[alpha[run]] = second ^ mask
+        start = end
 
 
-def _copy_masks(cfg: SiteConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per event kind, the bit masks of the letters an offspring takes from
-    the parent and from the second parent: neutral and selective offspring
-    copy the whole parent, a recombinant takes the head of its site's cut
-    from the parent and the tail from the second parent."""
+def _kind_masks(cfg: SiteConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per event kind, in the population's dtype: the bit mask of the
+    letters an offspring takes from its parent (the rest come from the
+    second parent), and the bit that stops the event when the parent
+    carries it.  Neutral and selective offspring copy the whole parent, a
+    recombinant takes the head of its site's cut; only a selective event
+    stops, at an unfit parent."""
     heads = (cfg.split(i).sides(cfg.n)[0] for i in cfg.crossover_sites)
     # bits lo - 1 .. hi - 1 hold the head sites lo..hi
-    head = np.array([(1 << cfg.n) - 1] * 2 + [(1 << hi) - (1 << lo - 1) for lo, hi in heads],
-                    dtype=np.int64)
-    return head, head[0] ^ head
+    head = [(1 << cfg.n) - 1] * 2 + [(1 << hi) - (1 << lo - 1) for lo, hi in heads]
+    stop_bit = [0, 1 << cfg.i_star - 1] + [0] * (len(head) - 2)
+    # built wide, then cast: a mask keeps the bits that the dtype can hold,
+    # which are all the bits its types can carry
+    return (np.array(head, dtype=np.int64).astype(dtype),
+            np.array(stop_bit, dtype=np.int64).astype(dtype))
 
 
 def empirical_measure(cfg: SiteConfig, state: MoranState) -> ProbabilityMeasure:

@@ -208,17 +208,25 @@ def _oracle_cfg(case, n):
     return SiteConfig(n=n, i_star=i_star, s=s, rho=rho)
 
 
-# event rate of the last case: 20000 * (1 + 1.5 + 1.8) * 2.0 events per unit
-# time, so several chunks of _EVENT_CHUNK events run
+# event rate of case 12: 20000 * (1 + 1.5 + 1.8) * 2.0 events per unit time,
+# so several chunks of _EVENT_CHUNK events run.  Cases 13-19 hold types of
+# 16 and 32 bits, and 16 and 19 also run several chunks at one size.  The
+# last entry of a case is whether it runs several chunks
 ORACLE_CASES = [
-    (_oracle_cfg(c, n=(c + c // 6) % 6 + 1), N, 0.4 if N == 20000 else 3.0)
+    (_oracle_cfg(c, n=(c + c // 6) % 6 + 1), N, 0.4 if N == 20000 else 3.0, False)
     for c, N in enumerate([1, 2, 3, 37, 500, 20000] * 2)
-] + [(SiteConfig(n=4, i_star=2, s=1.5, rho=(0.9, 0.0, 0.0, 0.9)), 20000, 2.0)]
+] + [(SiteConfig(n=4, i_star=2, s=1.5, rho=(0.9, 0.0, 0.0, 0.9)), 20000, 2.0, True)] + [
+    (_oracle_cfg(20 + c, n), N, t, N == 20000)
+    for c, (n, N, t) in enumerate([
+        (9, 37, 3.0), (12, 500, 1.0), (16, 37, 3.0), (14, 20000, 0.8),
+        (17, 37, 3.0), (20, 500, 1.0), (18, 20000, 0.8),
+    ])
+]
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_batched_events_match_event_loop(case):
-    cfg, N, t = ORACLE_CASES[case]
+    cfg, N, t, several_chunks = ORACLE_CASES[case]
     nu = ProbabilityMeasure(
         cfg.sites, np.random.default_rng(case).dirichlet(np.ones(2 ** cfg.n))
     )
@@ -226,13 +234,46 @@ def test_batched_events_match_event_loop(case):
     before = pop.types.copy()
     got = moran_simulate(cfg, pop, t, spawn_stream(41, case))
     want = _moran_events_reference(cfg, pop, t, spawn_stream(41, case))
+    assert got.types.dtype == want.types.dtype == pop.types.dtype
     assert np.array_equal(got.types, want.types)
     assert got.counters == want.counters
     assert got.clock == want.clock
     assert np.array_equal(pop.types, before)
     assert pop.counters == {} and pop.clock == 0.0
-    if case == len(ORACLE_CASES) - 1:
+    if several_chunks:
         assert sum(got.counters.values()) > 2 * _EVENT_CHUNK
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+     (17, np.uint32), (20, np.uint32)],
+)
+def test_sample_population_takes_the_narrowest_type(n, dtype):
+    # the all-ones type is the largest value the dtype must hold
+    cfg = SiteConfig(n=n, i_star=1, s=0.5, rho=(0.0,) + (0.5,) * (n - 1))
+    pop = sample_population(cfg, 5, delta(cfg.sites, dict.fromkeys(cfg.sites, 1)),
+                            spawn_stream(44, n))
+    assert pop.types.dtype == dtype
+    assert pop.types.tolist() == [2 ** n - 1] * 5
+
+
+def test_moran_simulate_keeps_the_population_dtype():
+    # the same realisation from an int64 copy of a uint8 population, in
+    # int64, and neither input changes
+    cfg = SiteConfig(n=4, i_star=3, s=1.2, rho=(0.7, 0.4, 0.0, 0.9))
+    nu = ProbabilityMeasure(cfg.sites, np.random.default_rng(45).dirichlet(np.ones(16)))
+    narrow = sample_population(cfg, 3000, nu, spawn_stream(45, 0))
+    wide = MoranState(types=narrow.types.astype(np.int64))
+    before = wide.types.copy()
+    got_narrow = moran_simulate(cfg, narrow, 2.0, spawn_stream(45, 1))
+    got_wide = moran_simulate(cfg, wide, 2.0, spawn_stream(45, 1))
+    assert narrow.types.dtype == got_narrow.types.dtype == np.uint8
+    assert got_wide.types.dtype == np.int64
+    assert np.array_equal(got_wide.types, got_narrow.types)
+    assert not np.array_equal(got_wide.types, before)
+    assert np.array_equal(wide.types, before)
+    assert np.array_equal(narrow.types, before)
 
 
 # the moran-n4 benchmark's model shape: n=4, s=0.8, crossover rates summing
@@ -244,20 +285,22 @@ MORAN_N4_START = ProbabilityMeasure(
 
 
 def test_sample_population_holds_one_population():
-    # the population is 0.8 MB of int64; drawing it whole held a uniform
-    # and an index array of the same size besides, and then a copy
+    # the population is 0.1 MB of uint8 (0.236 MB peak measured, with one
+    # piece's uniforms and indices); drawing it whole held a uniform and an
+    # index array of eight bytes per individual besides, and then a copy
     peak = traced_peak(
         lambda: sample_population(MORAN_N4, 10**5, MORAN_N4_START, spawn_stream(50, 0))
     )
-    assert peak <= 1.0e6
+    assert peak <= 0.3e6
 
 
 def test_moran_simulate_holds_one_chunk():
-    # the population copy (0.8 MB), the first-write array (0.4 MB) and one
-    # chunk of drawn events (1.6 MB); the chunk before it is freed first
+    # the population copy (0.1 MB of uint8), the int16 first-write array
+    # (0.2 MB) and one chunk of drawn events with their masks (1.8 MB);
+    # the chunk before it is freed first.  2.14 MB peak measured
     pop = sample_population(MORAN_N4, 10**5, MORAN_N4_START, spawn_stream(50, 1))
     peak = traced_peak(lambda: moran_simulate(MORAN_N4, pop, 1.0, spawn_stream(50, 2)))
-    assert peak <= 3.5e6
+    assert peak <= 2.5e6
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from selrec import SiteConfig
 from selrec.measure import interval_marginal
-from selrec.moran import _copy_masks
+from selrec.moran import _kind_masks
 from selrec.partitions import _blocks
 
 
@@ -112,8 +112,11 @@ def test_the_cut_of_each_site_keeps_its_former_definitions(case):
     for mask in started:
         blocks = list(_blocks(mask, cfg))
         assert [(lo, hi) for lo, hi, _ in blocks] == reference_blocks(mask, n, cfg.i_star)
-    masks = _copy_masks(cfg)
-    assert masks[0].tolist() == head_masks and masks[1].tolist() == tail_masks
+    # the Moran kernel's masks: the tail is the rest of the head's full
+    # mask, and only a selective event stops
+    head, stop_bit = _kind_masks(cfg, np.uint32)
+    assert head.tolist() == head_masks and (head ^ full).tolist() == tail_masks
+    assert stop_bit.tolist() == [0, 1 << cfg.i_star - 1] + [0] * (n - 1)
     assert np.array_equal(cfg.resetting_rates(), reference_resetting_rates(cfg))
 
 

@@ -1158,6 +1158,50 @@ def test_marginal_model_in_closed_form_matches_projection():
         cfg.marginal(others)
 
 
+@st.composite
+def _marginal_cases(draw):
+    # rates and s are 0 or span 1e-12..1e3; the start is a Dirichlet draw
+    # (concentration 0.05 puts masses far below 1e-16), a product or one type
+    n = draw(st.integers(1, 6))
+    i_star = draw(st.integers(1, n))
+    rate = st.one_of(st.just(0.0), st.floats(1e-12, 1e3))
+    rho = tuple(0.0 if i == i_star else draw(rate) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=draw(rate), rho=rho)
+    start = draw(st.sampled_from(["dirichlet", "product", "one type"]))
+    if start == "dirichlet":
+        alpha = draw(st.sampled_from([1.0, 0.05])) * np.ones(2 ** n)
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        nu = ProbabilityMeasure(cfg.sites, np.random.default_rng(seed).dirichlet(alpha))
+    elif start == "product":
+        nu = product_measure(cfg.sites, draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    else:
+        nu = delta(cfg.sites, dict(zip(cfg.sites, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
+    return cfg, nu, draw(st.floats(0.0, 2.0, exclude_min=True))
+
+
+@given(_marginal_cases())
+def test_closed_form_marginals_solve_the_marginal_models(case):
+    # the identity a walk over the subset lattice relies on: on every subset
+    # A that holds the selected site, the closed form's marginal is the
+    # closed form of the marginal model cfg.marginal(A) from nu's marginal
+    cfg, nu, t = case
+    try:
+        full = semigroup_solve(cfg, nu, t)
+    except ValueError as exc:
+        # a fit fraction lost in 1 - f0 is refused, on every subset alike
+        assert "fit fraction" in str(exc)
+        with pytest.raises(ValueError, match="fit fraction"):
+            model = cfg.marginal([cfg.i_star])
+            semigroup_solve(model, Measure(model.sites, nu.project([cfg.i_star]).values), t)
+        return
+    others = [i for i in cfg.sites if i != cfg.i_star]
+    for mask in range(2 ** len(others)):
+        A = sorted({cfg.i_star} | {a for j, a in enumerate(others) if (mask >> j) & 1})
+        model = cfg.marginal(A)
+        marg = semigroup_solve(model, Measure(model.sites, nu.project(A).values), t)
+        assert float(np.abs(marg.values - full.project(A).values).sum()) <= 1e-10, A
+
+
 def test_marginal_selected_site_is_logistic():
     rng = spawn_stream(101, 23)
     cfg = SiteConfig(n=3, i_star=2, s=0.9, rho=(0.5, 0.0, 0.8))
