@@ -44,6 +44,8 @@ from .moran import lln_convergence
 from .partitions import decode, encode
 from .rng import spawn_stream
 from .solvers import (
+    _chain_weights,
+    _DualityChain,
     SolverError,
     SolverSettings,
     Trajectory,
@@ -402,18 +404,28 @@ def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
 
 def _check_marginals(exp: ExperimentConfig, full: Trajectory) -> dict:
     """Every subset's marginal model, solved in closed form, against the
-    projection of the full ODE solution."""
-    cfg = exp.cfg
+    projection of the full ODE solution.  A subset model pools the crossover
+    rates from each of its sites to its neighbour towards the selected site,
+    and keeps the full model's resetting rates and unfit mass: one weight
+    table over the full model's (pooled rate, resetting rate) pairs, O(n^2)
+    of them, serves every subset, and each subset keeps its own chain."""
+    cfg, t = exp.cfg, exp.settings.t_max
     final = full.final()
+    # c runs over the sites that can neighbour a towards the selected site
+    pairs = [(cfg.marginal_rates({c, a, cfg.i_star})[a], cfg.resetting_rate(a))
+             for a in cfg.crossover_sites for c in cfg.sites if c != a and cfg.precedes(c, a)]
+    ((g, table),) = _chain_weights(cfg.s, 1.0 - fit_fraction(exp.omega0, cfg.i_star), pairs, (t,))
     worst = 0.0
-    others = [i for i in cfg.sites if i != cfg.i_star]
-    for mask in range(2 ** len(others)):
-        subset = [cfg.i_star] + [a for j, a in enumerate(others) if (mask >> j) & 1]
+    for picks in itertools.product((False, True), repeat=cfg.n - 1):
+        subset = sorted([cfg.i_star, *itertools.compress(cfg.crossover_sites, picks)])
         model = cfg.marginal(subset)
-        start = Measure(model.sites, exp.omega0.project(subset).values)
-        sub = semigroup_solve(model, start, exp.settings.t_max)
-        proj = final.project(subset)
-        worst = max(worst, l1_distance(sub, Measure(model.sites, proj.values)))
+        sub = ProbabilityMeasure(model.sites, exp.omega0.project(subset).values)
+        if t > 0.0:
+            chain = _DualityChain(model, sub)
+            acc = chain.expected(g, [table[model.rho_of(k), cfg.resetting_rate(subset[k - 1])]
+                                   for k in chain.order[1:]])
+            sub = ProbabilityMeasure(model.sites, acc / acc.sum())
+        worst = max(worst, l1_distance(sub, Measure(model.sites, final.project(subset).values)))
     return _gate("marginal_consistency", worst, exp.agreement_tol, max_l1=worst)
 
 

@@ -15,6 +15,7 @@ solution.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -39,7 +40,6 @@ from .solvers import (
     _integral,
     _renewal_density,
     _started_mass_pgf,
-    _yule_pgf_nodes,
     logistic_fit_fraction,
     selection_flow,
     semigroup_solve,
@@ -218,18 +218,15 @@ def _renewed_masses(s: float, rho: float, r: float, t: float, idle: bool):
     idle count starts at rate rho; after that, or when running from time 0,
     it resets at rate r.  Counts come in batches; within one the geometric
     factor is carried on the node vector from each count to the next."""
-    n = 1
-    while True:
+    for n in itertools.count(1, _COUNT_BATCH):
         def batch(u, n=n):
-            density = _renewal_density(rho, r, t, u) if idle else r * np.exp(-r * u)
             q = -np.expm1(-s * u)
             geo = np.empty((_COUNT_BATCH, u.size))
-            geo[0] = density * np.exp(-s * u) * q ** (n - 1)
+            geo[0] = _renewal_density(rho, r, t, u, idle) * np.exp(-s * u) * q ** (n - 1)
             geo[1:] = q
             return np.cumprod(geo, axis=0, out=geo)
 
         yield from _integral(batch, t, max(s, rho, r)).tolist()
-        n += _COUNT_BATCH
 
 
 def ypir_semigroup(
@@ -258,10 +255,7 @@ def ypir_semigroup(
     probs = [math.exp(-rho * t) if m0 == 0 else 0.0]
     cum = probs[0]
     small = 0
-    n = 0
-    while n < n_max:
-        n += 1
-        p = next(renewed)
+    for n, p in zip(range(1, n_max + 1), renewed):
         if m0 > 0:
             p += math.exp(-r * t) * _negbin_pmf(m0, sigma_t, n)
         probs.append(p)
@@ -284,10 +278,7 @@ def ypir_pgf(cfg: SiteConfig, i: int, m0: int, t: float, x: float) -> float:
     s, rho, r = _site_rates(cfg, i)
     if m0 == 0:
         return math.exp(-rho * t) + _started_mass_pgf(s, rho, r, t, x)
-    renewed = _integral(
-        lambda u: r * np.exp(-r * u) * _yule_pgf_nodes(s, u, x), t, max(s, rho, r)
-    )
-    return math.exp(-r * t) * yule_pgf(s, t, x) ** m0 + float(renewed)
+    return math.exp(-r * t) * yule_pgf(s, t, x) ** m0 + _started_mass_pgf(s, rho, r, t, x, False)
 
 
 def ypir_stationary(

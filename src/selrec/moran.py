@@ -60,13 +60,16 @@ def sample_population(cfg: SiteConfig, N: int, omega0, rng) -> MoranState:
 
 def _choice_into(out, rng, p):
     """Fill out with independent draws from range(p.size) weighted by p,
-    `_DRAW_PIECE` at a time, and return it.  rng.choice takes one uniform
-    per draw, so the values and the generator's next draw are those of one
-    rng.choice(p.size, size=out.size, p=p), which would also hold an
-    out-sized uniform array and an out-sized int64 index array."""
-    for lo in range(0, out.size, _DRAW_PIECE):
-        piece = out[lo:lo + _DRAW_PIECE]
-        piece[...] = rng.choice(p.size, size=piece.size, p=p)
+    `_DRAW_PIECE` at a time, and return it.  One cumulative sum of p serves
+    every piece, and each draw is the index that one uniform falls at in
+    it, as in numpy's Generator.choice: so the values and the generator's
+    next draw are those of one rng.choice(p.size, size=out.size, p=p),
+    which would also hold an out-sized uniform array and an out-sized int64
+    index array, and which rebuilds the sum on each call."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for piece in np.split(out, range(_DRAW_PIECE, out.size, _DRAW_PIECE)):
+        piece[...] = cdf.searchsorted(rng.random(piece.size), side="right")
     return out
 
 

@@ -3,7 +3,13 @@
 Three independent routes to the same solution:
 
 * a closed semigroup formula that assembles the solution from per-site
-  line-counting laws: the exact engine,
+  line-counting laws: the exact engine.  One weight table
+  (_chain_weights) holds every scalar it needs, each distinct (crossover
+  rate, resetting rate, time) computed once, and one chain step
+  (_DualityChain.expected) applies a row of it to the 2^n values; the
+  long-time limit is the stationary row, and verify's marginal check
+  reads one table for all its subset models (36 quadratures instead of
+  11,264 at n = 12),
 * a generic fixed-step Runge-Kutta integrator that halves its step until
   its end point meets the closed form,
 * a level-by-level recursion that peels off one crossover site at a time
@@ -570,12 +576,13 @@ def _integral(f, t: float, rate: float):
     return total
 
 
-def _renewal_density(rho: float, r: float, t: float, u: np.ndarray) -> np.ndarray:
-    """Density of the age u of the last renewal at time t of a count started
-    at 0: it starts at rate rho and afterwards resets at rate r."""
-    return np.exp(-r * u) * (
-        rho * np.exp(-rho * (t - u)) - r * np.expm1(-rho * (t - u))
-    )
+def _renewal_density(rho: float, r: float, t: float, u: np.ndarray, idle: bool) -> np.ndarray:
+    """Density of the age u of the last renewal at time t of one site's
+    count, which resets at rate r once it runs.  An idle count (started at
+    0) first starts at rate rho; a running one has only resets."""
+    if idle:
+        return np.exp(-r * u) * (rho * np.exp(-rho * (t - u)) - r * np.expm1(-rho * (t - u)))
+    return r * np.exp(-r * u)
 
 
 def _yule_pgf_nodes(s: float, u: np.ndarray, x: float) -> np.ndarray:
@@ -585,12 +592,14 @@ def _yule_pgf_nodes(s: float, u: np.ndarray, x: float) -> np.ndarray:
     return sig * x / (1.0 - x + sig * x)
 
 
-def _started_mass_pgf(s, rho, r, t, x):
-    """E[x^N; N >= 1] for the count started at 0: the site fires once at
-    rate rho, afterwards the count runs with resets at rate r; only the age
-    since the last renewal matters."""
+def _started_mass_pgf(s, rho, r, t, x, idle=True):
+    """E[x^N] of one site's count N on the event that it has renewed by t:
+    for an idle count, started at 0, that is E[x^N; N >= 1], as the site
+    fires once at rate rho and afterwards the count runs with resets at
+    rate r; a running count renews at its resets only.  Only the age since
+    the last renewal matters."""
     return float(_integral(
-        lambda u: _renewal_density(rho, r, t, u) * _yule_pgf_nodes(s, u, x),
+        lambda u: _renewal_density(rho, r, t, u, idle) * _yule_pgf_nodes(s, u, x),
         t, max(s, rho, r),
     ))
 
@@ -601,12 +610,12 @@ class _DualityChain:
     partition that the started sites cut, with one cache of the interval
     marginals of b and d.
 
-    The closed form and the long-time limit build a value as a chain: the
-    mixture on all sites, then, outward from the selected site, each
-    started site i overwrites the tail of the value so far with a mixture
-    wb*b_T + wd*d_T of the tail marginals, with expected or stationary
-    weights.  The Monte Carlo builds the values of sampled states as block
-    products (value).
+    The closed form and the long-time limit build a value as a chain
+    (expected): the mixture on all sites, then, outward from the selected
+    site, each crossover site i overwrites the tail of the value so far
+    with a mixture wb*b_T + wd*d_T of the tail marginals, at one row of
+    expected or stationary weights from _chain_weights.  The Monte Carlo
+    builds the values of sampled states as block products (value).
     """
 
     def __init__(self, cfg: SiteConfig, nu: Measure):
@@ -631,16 +640,18 @@ class _DualityChain:
             self._marginals[key] = tuple(interval_marginal(v, lo, hi) for v in (self.b, self.d))
         return self._marginals[key]
 
-    def start(self, g):
-        """(1 - g)*b + g*d on all sites."""
-        return (1.0 - g) * self.b + g * self.d
-
-    def overwrite(self, out: np.ndarray, i: int, wb, wd) -> np.ndarray:
-        """Each row of out with its tail at site i replaced: the head
-        marginal of the row times wb*b_T + wd*d_T."""
-        split = self.cfg.split(i)
-        b, d = self._block(*split.sides(self.cfg.n)[1])
-        return split.product(split.head(out), wb * b + wd * d)
+    def expected(self, g, weights) -> np.ndarray:
+        """The chain at one row of weights, not normalised: the mixture
+        (1 - g)*b + g*d on all sites, then at each crossover site i in
+        chain order, with its weights (p, G), the value so far with weight
+        1 - p plus its overwrite at i: the head marginal of the value times
+        (p - G)*b_T + G*d_T on the tail T of i."""
+        acc = (1.0 - g) * self.b + g * self.d
+        for i, (p, G) in zip(self.order[1:], weights):
+            split = self.cfg.split(i)
+            b, d = self._block(*split.sides(self.cfg.n)[1])
+            acc = (1.0 - p) * acc + split.product(split.head(acc), (p - G) * b + G * d)
+        return acc
 
     def value(self, started: int, dweights: np.ndarray, out: np.ndarray) -> None:
         """Write into out, a C-contiguous (states, 2^n) array, the duality
@@ -680,6 +691,36 @@ def semigroup_solve(cfg: SiteConfig, omega0: Measure, t: float) -> ProbabilityMe
     return next(semigroup_path(cfg, omega0, (t,)))
 
 
+def _chain_weights(s: float, y: float, rates, times) -> list[tuple[float, dict]]:
+    """The closed form's weights at each of the times, from the unfit mass
+    y.  A row holds the start weight g = yule_pgf(s, t, y) of the selected
+    site and, keyed by each (rho, r) of rates, the weights (p, G) of a
+    crossover site with crossover rate rho and resetting rate r: the chance
+    p = 1 - e^(-rho*t) that it has started and G = E[y^N; N >= 1] of its
+    line count N.  Each distinct (rho, r, t) is computed once.  Time inf
+    gives the stationary row: every site has started (p = 1), G is the
+    stationary pgf at shape r/s, and the selected site's count has grown
+    without bound (g = 0)."""
+    @functools.cache
+    def weights(rho, r, t):
+        if t == math.inf:
+            return 1.0, stationary_count_pgf(r / s, y)
+        return 1.0 - math.exp(-rho * t), _started_mass_pgf(s, rho, r, t, y)
+
+    return [(0.0 if t == math.inf else yule_pgf(s, t, y), {key: weights(*key, t) for key in rates})
+            for t in times]
+
+
+def _expected_values(cfg: SiteConfig, omega0: Measure, times):
+    """The chain's value, not normalised, at each of the times in turn (inf:
+    the stationary row), from one duality chain and one weight table, both
+    built when the first value is asked for."""
+    chain = _DualityChain(cfg, omega0)
+    rates = [(cfg.rho_of(i), cfg.resetting_rate(i)) for i in chain.order[1:]]
+    for g, table in _chain_weights(cfg.s, chain.y, rates, times):
+        yield chain.expected(g, [table[key] for key in rates])
+
+
 def semigroup_path(cfg: SiteConfig, omega0: Measure, times: Iterable[float]):
     """Yield semigroup_solve at each of the times in turn, all from one
     duality chain, which is built at the first positive time."""
@@ -688,20 +729,12 @@ def semigroup_path(cfg: SiteConfig, omega0: Measure, times: Iterable[float]):
     times = list(times)
     for t in times:
         _check_time(t)
-    chain = None
+    values = _expected_values(cfg, omega0, [t for t in times if t > 0.0])
     for t in times:
         if t == 0.0:
             yield ProbabilityMeasure(omega0.sites, omega0.values)
             continue
-        if chain is None:
-            chain = _DualityChain(cfg, omega0)
-            resets = cfg.resetting_rates()
-        acc = chain.start(yule_pgf(cfg.s, t, chain.y))
-        for i in chain.order[1:]:
-            rho = cfg.rho_of(i)
-            p = 1.0 - math.exp(-rho * t)
-            G = _started_mass_pgf(cfg.s, rho, float(resets[i - 1]), t, chain.y)
-            acc = (1.0 - p) * acc + chain.overwrite(acc, i, p - G, G)
+        acc = next(values)
         yield ProbabilityMeasure(cfg.sites, acc / acc.sum())
 
 
@@ -740,17 +773,11 @@ def asymptotic_limit(cfg: SiteConfig, omega0: Measure) -> ProbabilityMeasure:
             f"the long-time limit needs a positive crossover rate at every "
             f"site other than the selected one; zero at {zero}"
         )
-    chain = _DualityChain(cfg, omega0)
-    resets = cfg.resetting_rates()
     # every site has started, and each overwrite leaves only the site
     # itself of its tail: the limit is the product of one-site marginals.
     # The selected site's count grows without bound, so its ancestor is fit
     # unless no fit mass exists, and then b is nu itself
-    out = chain.start(0.0)
-    for i in chain.order[1:]:
-        gamma = stationary_count_pgf(float(resets[i - 1]) / cfg.s, chain.y)
-        out = chain.overwrite(out, i, 1.0 - gamma, gamma)
-    return ProbabilityMeasure(cfg.sites, out)
+    return ProbabilityMeasure(cfg.sites, next(_expected_values(cfg, omega0, (math.inf,))))
 
 
 def equilibration_time(cfg: SiteConfig, omega0: Measure, eps: float = 1e-4) -> float:

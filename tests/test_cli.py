@@ -450,6 +450,41 @@ def test_verify_solves_one_ode(tmp_path, monkeypatch):
     assert checks["marginal_consistency"]["passed"]
 
 
+def test_marginal_check_computes_each_weight_once(monkeypatch):
+    # a subset model pools the rates from each of its sites to its neighbour
+    # towards the selected site, so an arm of L sites gives L(L+1)/2 weight
+    # pairs: 6 + 10 here, where one closed form per subset model takes 7
+    # quadratures on each of 2^6 subsets
+    import selrec.cli
+    import selrec.solvers
+    from selrec.measure import Measure, l1_distance
+    from selrec.solvers import semigroup_solve
+
+    exp = ExperimentConfig.from_dict({
+        **BASE, "n": 8, "i_star": 4, "rho": [0.3, 0.9, 0.5, 0.0, 0.7, 0.2, 1.1, 0.4],
+        "initial": {"vector": np.random.default_rng(8).dirichlet(np.ones(256)).tolist()},
+        "grid_steps": 128, "quad_tol": 1e-5,
+    })
+    t = exp.settings.t_max
+    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings, (t,))
+    real = selrec.solvers._started_mass_pgf
+    calls = []
+    monkeypatch.setattr(selrec.solvers, "_started_mass_pgf",
+                        lambda *args: calls.append(args) or real(*args))
+    got = selrec.cli._check_marginals(exp, ode)
+    assert len(calls) == 16
+    cfg, worst = exp.cfg, 0.0
+    others = [i for i in cfg.sites if i != cfg.i_star]
+    for mask in range(2 ** len(others)):
+        subset = [cfg.i_star] + [a for j, a in enumerate(others) if (mask >> j) & 1]
+        model = cfg.marginal(subset)
+        sub = semigroup_solve(model, Measure(model.sites, exp.omega0.project(subset).values), t)
+        proj = ode.final().project(subset)
+        worst = max(worst, l1_distance(sub, Measure(model.sites, proj.values)))
+    assert len(calls) == 16 + 448
+    assert got["max_l1"] == worst
+
+
 @pytest.mark.parametrize("command", ["dual", "asymptotics"])
 def test_closed_form_commands_run_no_ode(tmp_path, monkeypatch, command):
     # dual's z reference and the asymptotics distance curve both come from

@@ -1014,11 +1014,10 @@ def _overwrite_chain_rows(cfg, nu, started, dweights):
     chain = _DualityChain(cfg, nu)
     out = np.empty((len(started), 2 ** cfg.n))
     for r, (on, g) in enumerate(zip(started, dweights)):
-        acc = chain.start(g[cfg.i_star - 1])
-        for i in chain.order[1:]:
-            if on[i - 1]:
-                acc = chain.overwrite(acc, i, 1.0 - g[i - 1], g[i - 1])
-        out[r] = acc
+        # a started site overwrites its tail (p = 1), an idle one keeps it
+        # (p = G = 0)
+        out[r] = chain.expected(g[cfg.i_star - 1], [
+            (1.0, g[i - 1]) if on[i - 1] else (0.0, 0.0) for i in chain.order[1:]])
     return out
 
 

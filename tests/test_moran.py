@@ -317,6 +317,20 @@ def test_piecewise_choice_matches_one_draw(m, dtype):
     assert pieces.random() == whole.random()
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_population_draws_are_those_of_one_choice(n):
+    # the pieces search one cumulative sum of the law, as numpy's
+    # Generator.choice does: a change to choice's draws fails here
+    cfg = SiteConfig(n=n, i_star=1, s=0.5, rho=(0.0,) + (0.3,) * (n - 1))
+    nu = ProbabilityMeasure(cfg.sites, np.random.default_rng(n).dirichlet(np.ones(2 ** n)))
+    N = 2 * _DRAW_PIECE + 5
+    whole, pieces = spawn_stream(7, n), spawn_stream(7, n)
+    want = whole.choice(2 ** n, size=N, p=nu.values / nu.values.sum())
+    got = sample_population(cfg, N, nu, pieces).types
+    assert np.array_equal(got, want)
+    assert pieces.random() == whole.random()
+
+
 @st.composite
 def _moran_cases(draw):
     n = draw(st.integers(1, 4))

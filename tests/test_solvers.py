@@ -43,7 +43,7 @@ from selrec import (
     uniform,
     ypir_stationary,
 )
-from selrec.measure import Split
+from selrec.measure import Split, interval_marginal
 from selrec.solvers import (
     _BLOCK_BYTES,
     SolverError,
@@ -921,11 +921,10 @@ def test_every_crossover_site_takes_the_general_update(monkeypatch):
     # builds one product per crossover site in every row block
     cfg = SiteConfig(n=4, i_star=2, s=0.9, rho=(0.7, 0.0, 0.0, 1.3))
     nu = random_prob(cfg.sites, spawn_stream(101, 48))
-    chain = selrec.solvers._DualityChain
-    real_overwrite = chain.overwrite
+    real_split = SiteConfig.split
     overwritten = []
-    monkeypatch.setattr(chain, "overwrite", lambda self, out, i, wb, wd: (
-        overwritten.append(i) or real_overwrite(self, out, i, wb, wd)))
+    monkeypatch.setattr(SiteConfig, "split", lambda self, i: (
+        overwritten.append(i) or real_split(self, i)))
     semigroup_solve(cfg, nu, 1.0)
     assert overwritten == [1, 3, 4]
     real_product = Split.product
@@ -978,6 +977,63 @@ def test_grid_solvers_meet_the_closed_form_on_generated_models(case):
         if res["rate"] == 0.0:
             assert res["max_abs_error"] == 0.0
             assert res["lhs_norms"].tobytes() == res["below_norms"].tobytes()
+
+
+def _overwrite(cfg, chain, out, i, wb, wd):
+    """out with its tail T at site i replaced: its head marginal times
+    wb*b_T + wd*d_T."""
+    split = cfg.split(i)
+    lo, hi = split.sides(cfg.n)[1]
+    b, d = (interval_marginal(v, lo, hi) for v in (chain.b, chain.d))
+    return split.product(split.head(out), wb * b + wd * d)
+
+
+def _closed_form_reference(cfg, nu, times):
+    """The closed form as a loop over times and sites, each weight computed
+    where it is used; time inf gives the long-time limit."""
+    chain = selrec.solvers._DualityChain(cfg, nu)
+    resets = cfg.resetting_rates()
+    for t in times:
+        if t == 0.0:
+            yield nu.values
+            continue
+        g = 0.0 if t == math.inf else selrec.solvers.yule_pgf(cfg.s, t, chain.y)
+        acc = (1.0 - g) * chain.b + g * chain.d
+        for i in chain.order[1:]:
+            rho, r = cfg.rho_of(i), float(resets[i - 1])
+            if t == math.inf:
+                gamma = stationary_count_pgf(r / cfg.s, chain.y)
+                acc = _overwrite(cfg, chain, acc, i, 1.0 - gamma, gamma)
+                continue
+            p = 1.0 - math.exp(-rho * t)
+            G = selrec.solvers._started_mass_pgf(cfg.s, rho, r, t, chain.y)
+            acc = (1.0 - p) * acc + _overwrite(cfg, chain, acc, i, p - G, G)
+        yield acc if t == math.inf else acc / acc.sum()
+
+
+@st.composite
+def _closed_form_cases(draw):
+    n = draw(st.integers(1, 8))
+    i_star = draw(st.integers(1, n))
+    rate = st.one_of(st.just(0.0), st.floats(1e-2, 4.0))
+    rho = tuple(0.0 if i == i_star else draw(rate) for i in range(1, n + 1))
+    cfg = SiteConfig(n=n, i_star=i_star, s=draw(rate), rho=rho)
+    times = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+    return cfg, [0.0, *times], draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_closed_form_cases())
+def test_closed_form_keeps_the_bits_of_the_per_site_loop(case):
+    # zero rates and s = 0 included; the limit exists only for s > 0 and
+    # positive rates at every crossover site
+    cfg, times, seed = case
+    nu = ProbabilityMeasure(cfg.sites, np.random.default_rng(seed).dirichlet(np.ones(2 ** cfg.n)))
+    ref = list(_closed_form_reference(cfg, nu, times))
+    got = [m.values for m in semigroup_path(cfg, nu, times)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
+    if cfg.s > 0.0 and all(cfg.rho_of(i) > 0.0 for i in cfg.crossover_sites):
+        (limit,) = _closed_form_reference(cfg, nu, [math.inf])
+        assert np.array_equal(asymptotic_limit(cfg, nu).values, limit)
 
 
 def test_product_start_residuals_are_the_trapezoid_deviation():
