@@ -321,12 +321,10 @@ def _gate(name: str, worst: float, tol: float, **report) -> dict:
 
 
 def _check_solver_agreement(
-    exp: ExperimentConfig, ode_traj: Trajectory, rec_traj: Trajectory
+    exp: ExperimentConfig, ode_traj: Trajectory, rec_traj: Trajectory, semi: Measure
 ) -> dict:
-    t = exp.settings.t_max
     ode = ode_traj.final()
     rec = rec_traj.final()
-    semi = semigroup_solve(exp.cfg, exp.omega0, t)
     pair = {
         "ode_recursion": l1_distance(ode, rec),
         "ode_semigroup": l1_distance(ode, semi),
@@ -382,15 +380,14 @@ def _mc_time(exp: ExperimentConfig) -> float:
     return min(1.0, exp.settings.t_max) if exp.settings.t_max > 0 else 1.0
 
 
-def _check_mc(exp: ExperimentConfig, seed: int, replicates: int) -> list[dict]:
+def _check_mc(exp: ExperimentConfig, seed: int, replicates: int, reference: Measure) -> list[dict]:
     """Duality checks, then solution estimates, of the three flavors against
-    the closed form at one time.  Each sampler draws once per seed: the
-    partition entries take the counts draws, and the partition duality
-    check keeps its own forward side, `duality_partition`."""
+    the closed form `reference` at `_mc_time`.  Each sampler draws once per
+    seed: the partition entries take the counts draws, and the partition
+    duality check keeps its own forward side, `duality_partition`."""
     cfg = exp.cfg
     t = _mc_time(exp)
     reps = min(replicates, 50_000)
-    reference = semigroup_solve(cfg, exp.omega0, t)
     forward = {f: _duality_function(cfg, _canonical_start(cfg, f), reference) for f in _FLAVORS}
     z = {}
     for check, offset in (("duality_mc", 7), ("solution_mc", 13)):
@@ -449,18 +446,23 @@ def _check_encoding(exp: ExperimentConfig, seed: int) -> dict:
 
 def cmd_verify(args, exp: ExperimentConfig) -> _Run:
     seed, replicates = _seed_and_replicates(args, exp)
-    _check_line_counts(exp.cfg, _mc_time(exp), _FLAVORS)
+    t_max, t_mc = exp.settings.t_max, _mc_time(exp)
+    _check_line_counts(exp.cfg, t_mc, _FLAVORS)
     # the forward problems on the config's own settings, shared by the checks;
     # they read the end points only
-    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings, (exp.settings.t_max,))
+    ode = integrate_ode(exp.cfg, exp.omega0, exp.settings, (t_max,))
     # one pass of the recursion gives its end point and the level residuals
-    rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings, (exp.settings.t_max,))
+    rec, residuals = ld_decay_residuals(exp.cfg, exp.omega0, exp.settings, (t_max,))
+    # one closed form serves the solver agreement and, when t_max <= 1, the
+    # Monte Carlo checks
+    semi = semigroup_solve(exp.cfg, exp.omega0, t_max)
+    mc_reference = semi if t_mc == t_max else semigroup_solve(exp.cfg, exp.omega0, t_mc)
     checks = [
-        _check_solver_agreement(exp, ode, rec),
+        _check_solver_agreement(exp, ode, rec, semi),
         _check_product_algebra(exp, seed),
         _check_ld_identity(residuals),
         _check_selection_duality(exp),
-        *_check_mc(exp, seed, replicates),
+        *_check_mc(exp, seed, replicates, mc_reference),
         _check_marginals(exp, ode),
         _check_encoding(exp, seed),
     ]

@@ -22,8 +22,8 @@ from .solvers import SolverSettings, _grid_rows
 
 
 # CPython's built-in SHA-256 rather than hashlib's: hashlib maps OpenSSL's
-# libcrypto, a few MB resident.  Besides this hash only numpy.random loads it
-# (secrets imports hmac), so the commands that draw no random numbers never do
+# libcrypto, a few MB resident.  numpy.random would load it too (through
+# secrets and hmac), but rng imports it without them, so no command does
 try:
     from _sha2 import sha256 as _sha256  # 3.12+
 except ImportError:

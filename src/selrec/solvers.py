@@ -40,6 +40,7 @@ from .measure import (
     recombinator,
 )
 from .partitions import _blocks
+from .rng import load_numpy_random
 from .sites import SiteConfig
 
 MAX_HALVINGS = 20
@@ -752,6 +753,7 @@ def stationary_count_pgf(alpha: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    load_numpy_random()  # scipy.special imports numpy.random: rng's import skips OpenSSL
     from scipy.special import hyp2f1
 
     return x * alpha / (alpha + 1.0) * float(hyp2f1(1.0, 1.0, alpha + 2.0, x))

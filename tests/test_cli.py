@@ -450,6 +450,16 @@ def test_verify_solves_one_ode(tmp_path, monkeypatch):
     assert checks["marginal_consistency"]["passed"]
 
 
+@pytest.mark.parametrize("t_max, solves", [(0.75, 1), (2.0, 2)])
+def test_verify_shares_one_closed_form_up_to_time_one(tmp_path, monkeypatch, t_max, solves):
+    # the solver agreement reads the closed form at t_max and the Monte
+    # Carlo checks at min(1, t_max): one call serves both when they coincide
+    calls = record_solver_calls(monkeypatch)
+    cfgp = write_config(tmp_path, t_max=t_max, grid_steps=1024, replicates=500)
+    assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "run")]) == 0
+    assert calls.count("semigroup_solve") == solves
+
+
 def test_marginal_check_computes_each_weight_once(monkeypatch):
     # a subset model pools the rates from each of its sites to its neighbour
     # towards the selected site, so an arm of L sites gives L(L+1)/2 weight
@@ -828,65 +838,71 @@ def test_required_keys_alone_solve_and_verify(tmp_path):
     assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "verify")]) == 0
 
 
-_IMPORT_BOUNDARY = """
-import sys
+_BOUNDARY = """
+import json, sys
 import selrec, selrec.cli
 from selrec.config import ExperimentConfig
 
 cfg_path, out = sys.argv[1], sys.argv[2]
 exp = ExperimentConfig.from_file(cfg_path)
-for argv in (["moran"], ["dual"], ["ld"], ["solve", "--method", "all"], ["verify"]):
+seen = {}
+for argv in (["solve", "--method", "all"], ["ld"]):
+    assert selrec.cli.main([*argv, "--config", cfg_path, "--out", out]) == 0
+seen["random_after_solve_ld"] = "numpy.random" in sys.modules
+for argv in (["moran"], ["dual"], ["verify"]):
     assert selrec.cli.main([*argv, "--config", cfg_path, "--out", out]) == 0
 selrec.semigroup_solve(exp.cfg, exp.omega0, exp.settings.t_max)
 for m0 in (0, 2):
     selrec.ypir_pgf(exp.cfg, 2, m0, exp.settings.t_max, 0.5)
     selrec.ypir_semigroup(exp.cfg, 2, m0, exp.settings.t_max)
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+seen["scipy_before_asymptotics"] = sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy")
 assert selrec.cli.main(["asymptotics", "--config", cfg_path, "--out", out]) == 0
-print(loaded, "scipy.special" in sys.modules)
+seen["scipy_special"] = "scipy.special" in sys.modules
+seen["openssl"] = sorted(name for name in ("_hashlib", "hmac") if name in sys.modules)
+import hashlib
+canon = json.dumps(json.load(open(cfg_path)), sort_keys=True, separators=(",", ":")).encode()
+stamps = {json.load(open(f"{out}/{name}"))["config_hash"]
+          for name in ("solve_meta.json", "ld_rates.json", "dual_estimates.json")}
+seen["stamps_are_sha256"] = stamps == {hashlib.sha256(canon).hexdigest()}
+import secrets
+import numpy as np
+seen["secrets_token"] = len(secrets.token_hex(8))
+seen["unseeded_draw"] = 0.0 <= float(np.random.default_rng().random()) < 1.0
+print(json.dumps(seen))
 """
 
 
-def test_numpy_only_commands_never_load_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def boundary(tmp_path_factory):
+    """What one fresh interpreter loads while it runs all six commands."""
+    tmp_path = tmp_path_factory.mktemp("boundary")
     cfgp = write_config(tmp_path, replicates=200, moran_population_sizes=[20, 40],
                         moran_replicates=2)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY, str(cfgp), str(tmp_path / "run")],
+        [sys.executable, "-c", _BOUNDARY, str(cfgp), str(tmp_path / "run")],
         capture_output=True, text=True, check=True,
     )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_only_commands_never_load_scipy(boundary):
+    assert boundary["scipy_before_asymptotics"] == []
     # the control: the stationary law's hyp2f1 does load scipy
-    assert proc.stdout.splitlines()[-1] == "[] True"
+    assert boundary["scipy_special"]
 
 
-_OPENSSL_BOUNDARY = """
-import json, sys
-import selrec.cli
-
-cfg_path, out = sys.argv[1], sys.argv[2]
-raw = json.load(open(cfg_path))
-for argv in (["solve", "--method", "all"], ["ld"]):
-    assert selrec.cli.main([*argv, "--config", cfg_path, "--out", out]) == 0
-loaded = "_hashlib" in sys.modules
-assert selrec.cli.main(["dual", "--config", cfg_path, "--out", out]) == 0
-import hashlib
-canon = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-stamps = {json.loads(open(f"{out}/{name}").read())["config_hash"]
-          for name in ("solve_meta.json", "ld_rates.json", "dual_estimates.json")}
-print(loaded, "_hashlib" in sys.modules, "numpy.random" in sys.modules,
-      stamps == {hashlib.sha256(canon).hexdigest()})
-"""
-
-
-def test_commands_without_random_numbers_never_load_openssl(tmp_path):
-    # the config hash is the interpreter's built-in SHA-256: hashlib would map
-    # OpenSSL's libcrypto into solve and ld for that hash alone.  dual, the
-    # control, loads it through numpy.random.  Every stamp is hashlib's digest
-    cfgp = write_config(tmp_path, replicates=200)
-    proc = subprocess.run(
-        [sys.executable, "-c", _OPENSSL_BOUNDARY, str(cfgp), str(tmp_path / "run")],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.splitlines()[-1] == "False True True True"
+def test_no_command_loads_openssl(boundary):
+    # the config hash is the interpreter's built-in SHA-256, and rng imports
+    # numpy.random without secrets' hmac: hashlib would map OpenSSL's
+    # libcrypto for either alone.  solve and ld load no numpy.random at all.
+    # Every stamp is hashlib's digest, and afterwards the real secrets
+    # imports and an unseeded generator draws OS entropy
+    assert boundary["openssl"] == []
+    assert not boundary["random_after_solve_ld"]
+    assert boundary["stamps_are_sha256"]
+    assert boundary["secrets_token"] == 16
+    assert boundary["unseeded_draw"]
 
 
 def test_verify_duality_holds_on_product_initial_measure(tmp_path):
